@@ -28,6 +28,7 @@ import (
 	"repro/internal/routing"
 	"repro/internal/subgraph"
 	"repro/internal/vcover"
+	"repro/internal/workload"
 )
 
 // benchBackend selects the execution engine for every root benchmark:
@@ -55,19 +56,19 @@ func benchRounds(b *testing.B, n, wpp int, f clique.NodeFunc) {
 
 // ---------------------------------------------------------------------
 // E1 / Figure 1: round scaling of the implemented problems. The
-// workloads come from the experiment registry (exp.Fig1Workloads), the
-// same instances and node programs the cliquebench report runs, so the
+// workloads come from the internal/workload catalogue with seed = n,
+// the same instances and node programs the fig1 experiment runs, so the
 // benchmarks and the report cannot drift apart.
 
-// benchFig1Workload benchmarks one registry probe at the given sizes.
+// benchFig1Workload benchmarks one catalogue entry at the given sizes.
 func benchFig1Workload(b *testing.B, name string, ns []int) {
 	b.Helper()
-	w, err := exp.Fig1Workload(name)
-	if err != nil {
-		b.Fatal(err)
+	w, ok := workload.Get(name)
+	if !ok {
+		b.Fatalf("no workload %q in the catalogue", name)
 	}
 	for _, n := range ns {
-		f := w.Make(n)
+		f := w.Make(n, uint64(n))
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			benchRounds(b, n, w.WPP, f)
 		})
@@ -75,11 +76,11 @@ func benchFig1Workload(b *testing.B, name string, ns []int) {
 }
 
 func BenchmarkFig1_BooleanMM3D(b *testing.B) {
-	benchFig1Workload(b, "Boolean MM (3D)", []int{27, 64, 125})
+	benchFig1Workload(b, "boolmm-3d", []int{27, 64, 125})
 }
 
 func BenchmarkFig1_BooleanMMNaive(b *testing.B) {
-	benchFig1Workload(b, "Boolean MM (naive)", []int{27, 64, 125})
+	benchFig1Workload(b, "boolmm-naive", []int{27, 64, 125})
 }
 
 // BenchmarkFig1_BooleanMMPackedSteady is the steady-state form of the
@@ -107,11 +108,11 @@ func BenchmarkFig1_BooleanMMPackedSteady(b *testing.B) {
 }
 
 func BenchmarkFig1_APSP(b *testing.B) {
-	benchFig1Workload(b, "APSP w/ud (min,+ squaring)", []int{27, 64})
+	benchFig1Workload(b, "apsp", []int{27, 64})
 }
 
 func BenchmarkFig1_Triangle(b *testing.B) {
-	benchFig1Workload(b, "Triangle detection", []int{27, 64, 125})
+	benchFig1Workload(b, "triangle", []int{27, 64, 125})
 }
 
 func BenchmarkFig1_TransitiveClosure(b *testing.B) {
@@ -136,7 +137,7 @@ func BenchmarkFig1_SSSP(b *testing.B) {
 }
 
 func BenchmarkFig1_MaxISFullGather(b *testing.B) {
-	benchFig1Workload(b, "MaxIS (full gather)", []int{32, 64})
+	benchFig1Workload(b, "maxis", []int{32, 64})
 }
 
 // ---------------------------------------------------------------------

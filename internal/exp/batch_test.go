@@ -14,82 +14,16 @@ func TestMeasureBatchedProbe(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing probe")
 	}
-	probe, err := exp.MeasureBatchedProbe("lockstep")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if probe.Name != "batched" || probe.Backend != "lockstep" {
-		t.Fatalf("probe identity %s/%s, want batched/lockstep", probe.Name, probe.Backend)
-	}
-	if probe.Batch <= 1 {
-		t.Fatalf("probe batch = %d, want > 1", probe.Batch)
-	}
-	if probe.RoundsPerSec <= 0 || probe.SerialRoundsPerSec <= 0 {
-		t.Fatalf("probe rounds/sec = %v (serial %v), want both > 0",
-			probe.RoundsPerSec, probe.SerialRoundsPerSec)
-	}
-	if probe.Speedup <= 0 {
-		t.Fatalf("probe speedup = %v, want > 0", probe.Speedup)
-	}
-	if probe.AllocsPerOp != 0 {
-		t.Fatalf("batched probe set AllocsPerOp = %v; it must leave the alloc gate alone", probe.AllocsPerOp)
-	}
-}
-
-// TestCompareBatchedProbe pins the batched-throughput gate: a drop
-// beyond the warn fraction is a RegressBatched finding, surfaced by
-// both Compare and the fatal BatchedRegressions filter, while a shape
-// mismatch (including batch width) is reported instead of compared.
-func TestCompareBatchedProbe(t *testing.T) {
-	probe := func(rps float64) *exp.BenchProbe {
-		return &exp.BenchProbe{Name: "batched", Backend: "lockstep",
-			N: 8, WordsPerPair: 1, Rounds: 256, Runs: 5, Batch: 8,
-			RoundsPerSec: rps, SerialRoundsPerSec: rps / 1.3, Speedup: 1.3}
-	}
-	report := func(rps float64) *exp.Report {
-		return &exp.Report{Schema: exp.SchemaVersion, Backend: "lockstep", BenchBatched: probe(rps)}
-	}
-	base := report(100000)
-
-	// Within the default 25% warn fraction (a 10% dip): silent.
-	if warns := exp.Compare(base, report(90000), exp.Gate{}); len(warns) != 0 {
-		t.Fatalf("10%% drop warned: %+v", warns)
-	}
-	warns := exp.Compare(base, report(70000), exp.Gate{})
-	found := false
-	for _, w := range warns {
-		if w.Kind == exp.RegressBatched {
-			found = true
+	batched, serial := measuredProbe(t, "batched"), measuredProbe(t, "batched-serial")
+	for _, p := range []*exp.Probe{batched, serial} {
+		if p.Metric != exp.MetricRoundsPerSec || p.N != 8 || p.Batch <= 1 {
+			t.Fatalf("probe %+v, want rounds_per_sec at n=8 with batch > 1", p)
+		}
+		if p.Value <= 0 {
+			t.Fatalf("%s probe rounds/sec = %v, want > 0", p.Name, p.Value)
 		}
 	}
-	if !found {
-		t.Fatalf("30%% batched drop not flagged: %+v", warns)
-	}
-	if fatal := exp.BatchedRegressions(base, report(70000), exp.Gate{Frac: 0.25}); len(fatal) != 1 {
-		t.Fatalf("fatal gate found %d regressions, want 1", len(fatal))
-	}
-	if fatal := exp.BatchedRegressions(base, report(90000), exp.Gate{Frac: 0.25}); len(fatal) != 0 {
-		t.Fatalf("fatal gate fired inside the 25%% margin: %+v", fatal)
-	}
-	// A missing probe on either side compares nothing fatal; Compare's
-	// missing-metric warning covers the disappearance.
-	if fatal := exp.BatchedRegressions(base, &exp.Report{Schema: exp.SchemaVersion}, exp.Gate{Frac: 0.25}); len(fatal) != 0 {
-		t.Fatalf("fatal gate fired on a missing probe: %+v", fatal)
-	}
-	// A batch-width change is a mismatch, not a throughput regression.
-	mismatched := report(100000)
-	mismatched.BenchBatched.Batch = 16
-	warns = exp.Compare(base, mismatched, exp.Gate{})
-	found = false
-	for _, w := range warns {
-		if w.Kind == exp.RegressMismatch {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("batch-width mismatch not reported: %+v", warns)
-	}
-	if fatal := exp.BatchedRegressions(base, mismatched, exp.Gate{Frac: 0.25}); len(fatal) != 0 {
-		t.Fatalf("mismatch leaked through the fatal gate: %+v", fatal)
+	if batched.Batch != serial.Batch {
+		t.Fatalf("batch widths differ: batched %d, serial %d", batched.Batch, serial.Batch)
 	}
 }

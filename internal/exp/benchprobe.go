@@ -12,48 +12,41 @@ import (
 	"repro/internal/stats"
 )
 
-// BenchProbe is an allocation probe: a canonical hot-path workload
-// executed repeatedly while heap allocations are counted. Two probes
-// ship in every timed report: the canonical exchange (the per-round
-// gossip pattern the serving hot path runs continuously, through the
-// collective layer) and the packed boolean matrix product (the
-// bit-packed data plane's hot loop, exercising the pooled bitvec
-// scratch). AllocsPerOp is the measured heap-allocation count per
-// simulated run; like Throughput the probes are attached to a report
-// only when timing was requested, so the deterministic envelope is
-// unaffected. The committed baseline's values are the regression
-// references for CI's gate: allocation regressions beyond
-// cliquebench's -alloc-regress-fail fraction fail the bench job.
-type BenchProbe struct {
-	Name         string  `json:"name"`
-	Backend      string  `json:"backend"`
-	N            int     `json:"n"`
-	WordsPerPair int     `json:"words_per_pair"`
-	Rounds       int     `json:"rounds"`
-	Runs         int     `json:"runs"`
-	AllocsPerOp  float64 `json:"allocs_per_op,omitempty"`
-	// RoundsPerSec is the probe's best-of-runs throughput, set only by
-	// the trace-off probe (the allocation probes leave it 0: allocation
-	// counts are near-deterministic, wall time is not, and mixing the
-	// two would subject the alloc gate to timing noise).
-	RoundsPerSec float64 `json:"rounds_per_sec,omitempty"`
-	// AllocsDist is the per-run allocation-count distribution behind
-	// AllocsPerOp; the variance-aware Compare gate widens its tolerance
-	// by the baseline's recorded spread.
-	AllocsDist *stats.Summary `json:"allocs_dist,omitempty"`
-	// RPSDist is the per-run rounds/sec distribution behind the
-	// trace-off probe's best-of-runs RoundsPerSec.
-	RPSDist *stats.Summary `json:"rounds_per_sec_dist,omitempty"`
-	// Batch is the number of independent runs per batched engine
-	// execution; set only by the batched throughput probe.
-	Batch int `json:"batch,omitempty"`
-	// SerialRoundsPerSec is the batched probe's reference measurement:
-	// the same runs executed back-to-back through the serial engine
-	// path, best-of-runs aggregate sim-rounds/sec.
-	SerialRoundsPerSec float64 `json:"serial_rounds_per_sec,omitempty"`
-	// Speedup is RoundsPerSec over SerialRoundsPerSec — the committed
-	// evidence for the batched execution plane's throughput claim.
-	Speedup float64 `json:"speedup,omitempty"`
+// Probe metrics: what a Probe's Value measures.
+const (
+	// MetricAllocs is the mean heap-allocation count per simulated run.
+	// Allocation counts are near-deterministic, so allocation probes
+	// carry no wall time and the gate on them sees no timing noise.
+	MetricAllocs = "allocs_per_op"
+	// MetricRoundsPerSec is the best-of-runs steady-state throughput in
+	// simulated rounds per second, aggregated over the whole batch for
+	// batched probes. The minimum wall time over several runs estimates
+	// undisturbed speed far more stably than a mean.
+	MetricRoundsPerSec = "rounds_per_sec"
+)
+
+// Probe is one canonical hot-path workload executed repeatedly while a
+// single metric is measured. MeasureProbes produces the set that ships
+// in every timed report; like Throughput the probes are attached only
+// when timing was requested, so the deterministic envelope is
+// unaffected. The committed baseline's probes are the references for
+// the gate table in registry.go.
+type Probe struct {
+	Name         string `json:"name"`
+	Metric       string `json:"metric"`
+	Backend      string `json:"backend"`
+	N            int    `json:"n"`
+	WordsPerPair int    `json:"words_per_pair"`
+	Rounds       int    `json:"rounds"`
+	Runs         int    `json:"runs"`
+	// Batch is the number of independent runs per measured execution;
+	// set only by the batched probes.
+	Batch int     `json:"batch,omitempty"`
+	Value float64 `json:"value"`
+	// Dist is the per-run distribution behind Value; the
+	// variance-aware gate widens its tolerance by the baseline's
+	// recorded spread.
+	Dist *stats.Summary `json:"dist,omitempty"`
 }
 
 // Canonical exchange shape: dense one-word gossip at the engine
@@ -64,6 +57,16 @@ const (
 	benchProbeWPP    = 1
 	benchProbeRounds = 256
 	benchProbeRuns   = 5
+)
+
+// Batched-probe shape: the seed-sweep regime the batched plane targets.
+// Per-run setup and scheduling overhead dominates an n=8 exchange, so
+// cross-run amortisation shows up directly; at the canonical n=64 the
+// engine's cache-sized chunking deliberately keeps batched execution at
+// serial parity instead.
+const (
+	batchedProbeN     = 8
+	batchedProbeBatch = 8
 )
 
 // benchProbeProgram is the canonical exchange node program: one
@@ -91,222 +94,138 @@ func packedProbeProgram(nd *clique.Node) {
 	}
 }
 
-// MeasureBenchProbe runs the canonical exchange workload on the given
-// backend and measures allocations per run (one warm-up run excluded,
-// so pooled mailboxes and lazily grown buffers do not bill the steady
-// state). It must run while no other simulations execute concurrently;
-// cliquebench measures after its worker pool has drained.
-func MeasureBenchProbe(backend string) (*BenchProbe, error) {
-	return measureProbe("exchange", backend, benchProbeProgram)
-}
-
-// MeasurePackedProbe is MeasureBenchProbe for the packed boolean-MM
-// workload: the allocation watchdog over the bitvec scratch pooling
-// that keeps cliqued's boolean serving loop allocation-flat.
-func MeasurePackedProbe(backend string) (*BenchProbe, error) {
-	return measureProbe("packed-mm", backend, packedProbeProgram)
-}
-
-// MeasureTraceOffProbe measures the steady-state throughput of the
-// canonical exchange with no tracer attached — the workload whose
-// baseline comparison gates the trace plane's zero-cost-when-off claim
-// (Compare warns, and cliquebench's -trace-regress-fail fails, beyond
-// 1%). Best-of-runs wall time is used, since the minimum over several
-// runs estimates undisturbed speed far more stably than a mean: a 1%
-// gate would otherwise drown in scheduler noise.
-func MeasureTraceOffProbe(backend string) (*BenchProbe, error) {
-	cfg := clique.Config{N: benchProbeN, WordsPerPair: benchProbeWPP, Backend: backend}
-	run := func() (time.Duration, error) {
-		start := time.Now()
-		res, err := clique.Run(cfg, benchProbeProgram)
-		wall := time.Since(start)
-		if err != nil {
-			return 0, err
-		}
-		if res.Stats.Rounds != benchProbeRounds {
-			return 0, fmt.Errorf("exp: trace-off probe ran %d rounds, want %d", res.Stats.Rounds, benchProbeRounds)
-		}
-		return wall, nil
-	}
-	if _, err := run(); err != nil { // warm-up
-		return nil, err
-	}
-	best := time.Duration(0)
-	samples := make([]float64, 0, benchProbeRuns)
-	for i := 0; i < benchProbeRuns; i++ {
-		wall, err := run()
-		if err != nil {
-			return nil, err
-		}
-		if best == 0 || wall < best {
-			best = wall
-		}
-		if wall > 0 {
-			samples = append(samples, benchProbeRounds/wall.Seconds())
-		}
-	}
-	rps := 0.0
-	if best > 0 {
-		rps = benchProbeRounds / best.Seconds()
-	}
-	dist := stats.Summarize(samples, 0)
-	return &BenchProbe{
-		Name:         "trace-off",
-		Backend:      backend,
-		N:            benchProbeN,
-		WordsPerPair: benchProbeWPP,
-		Rounds:       benchProbeRounds,
-		Runs:         benchProbeRuns,
-		RoundsPerSec: rps,
-		RPSDist:      &dist,
-	}, nil
-}
-
-// Batched probe shape: the small-message seed-sweep regime batching
-// targets. Per-round scheduling overhead dominates an n=8 exchange, so
-// cross-run amortisation shows up directly; at the canonical n=64 the
-// engine's cache-sized chunking deliberately keeps batched execution at
-// serial parity instead.
-const (
-	batchedProbeN     = 8
-	batchedProbeBatch = 8
-)
-
-// MeasureBatchedProbe measures the steady-state aggregate throughput of
-// the batched execution plane: batchedProbeBatch independent canonical
-// exchanges at the small seed-sweep shape driven through one
-// clique.RunBatch, against the same runs executed serially.
-// Best-of-runs wall time on both sides, for the same reason as the
-// trace-off probe: the minimum estimates undisturbed speed.
-// RoundsPerSec here is aggregate sim-rounds/sec across the whole batch
-// — the registry steady-state throughput figure the perf trajectory
-// gates — and Speedup is the batched/serial ratio.
-func MeasureBatchedProbe(backend string) (*BenchProbe, error) {
-	cfg := clique.Config{N: batchedProbeN, WordsPerPair: benchProbeWPP, Backend: backend}
+// MeasureProbes runs every probe on the given backend, in order:
+//
+//   - exchange: allocations of the canonical exchange, the per-round
+//     gossip pattern the serving hot path runs through the collective
+//     layer;
+//   - packed-mm: allocations of the packed boolean product, the
+//     watchdog over the bitvec scratch pooling;
+//   - trace-off: throughput of the canonical exchange with no tracer
+//     attached, the reference for the trace plane's zero-cost-when-off
+//     claim;
+//   - batched-serial: throughput of batchedProbeBatch small exchanges
+//     run back-to-back, the ungated reference for the next probe;
+//   - batched: the same runs through one clique.RunBatch. Its ratio to
+//     batched-serial is the batched plane's speedup.
+//
+// Every probe excludes one warm-up run, so pooled mailboxes and lazily
+// grown buffers do not bill the steady state. MeasureProbes must run
+// while no other simulations execute; cliquebench measures after its
+// worker pool has drained.
+func MeasureProbes(backend string) ([]*Probe, error) {
+	canonical := clique.Config{N: benchProbeN, WordsPerPair: benchProbeWPP, Backend: backend}
+	small := clique.Config{N: batchedProbeN, WordsPerPair: benchProbeWPP, Backend: backend}
+	exchange := func() error { return checkProbeRounds(clique.Run(canonical, benchProbeProgram)) }
 	progs := make([]clique.NodeFunc, batchedProbeBatch)
 	for i := range progs {
 		progs[i] = benchProbeProgram
 	}
-	const totalRounds = batchedProbeBatch * benchProbeRounds
-	check := func(res *clique.Result, err error) error {
+	specs := []struct {
+		name, metric string
+		cfg          clique.Config
+		batch        int
+		run          func() error
+	}{
+		{"exchange", MetricAllocs, canonical, 0, exchange},
+		{"packed-mm", MetricAllocs, canonical, 0, func() error {
+			return checkProbeRounds(clique.Run(canonical, packedProbeProgram))
+		}},
+		{"trace-off", MetricRoundsPerSec, canonical, 0, exchange},
+		{"batched-serial", MetricRoundsPerSec, small, batchedProbeBatch, func() error {
+			for range progs {
+				if err := checkProbeRounds(clique.Run(small, benchProbeProgram)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"batched", MetricRoundsPerSec, small, batchedProbeBatch, func() error {
+			results, errs := clique.RunBatch(small, progs)
+			for i := range results {
+				if err := checkProbeRounds(results[i], errs[i]); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	}
+	probes := make([]*Probe, 0, len(specs))
+	for _, s := range specs {
+		p := &Probe{Name: s.name, Metric: s.metric, Backend: backend, N: s.cfg.N,
+			WordsPerPair: s.cfg.WordsPerPair, Rounds: benchProbeRounds, Runs: benchProbeRuns, Batch: s.batch}
+		if err := s.run(); err != nil { // warm-up
+			return nil, fmt.Errorf("exp: probe %s: %w", s.name, err)
+		}
+		var err error
+		if s.metric == MetricAllocs {
+			err = p.measureAllocs(s.run)
+		} else {
+			err = p.measureRate(max(1, s.batch)*benchProbeRounds, s.run)
+		}
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("exp: probe %s: %w", s.name, err)
 		}
-		if res.Stats.Rounds != benchProbeRounds {
-			return fmt.Errorf("exp: batched probe ran %d rounds, want %d", res.Stats.Rounds, benchProbeRounds)
-		}
-		return nil
+		probes = append(probes, p)
 	}
-	runBatched := func() (time.Duration, error) {
-		start := time.Now()
-		results, errs := clique.RunBatch(cfg, progs)
-		wall := time.Since(start)
-		for i := range results {
-			if err := check(results[i], errs[i]); err != nil {
-				return 0, err
-			}
-		}
-		return wall, nil
-	}
-	runSerial := func() (time.Duration, error) {
-		start := time.Now()
-		for range progs {
-			if err := check(clique.Run(cfg, benchProbeProgram)); err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(start), nil
-	}
-	best := func(run func() (time.Duration, error)) (time.Duration, []float64, error) {
-		if _, err := run(); err != nil { // warm-up
-			return 0, nil, err
-		}
-		var min time.Duration
-		samples := make([]float64, 0, benchProbeRuns)
-		for i := 0; i < benchProbeRuns; i++ {
-			wall, err := run()
-			if err != nil {
-				return 0, nil, err
-			}
-			if min == 0 || wall < min {
-				min = wall
-			}
-			if wall > 0 {
-				samples = append(samples, totalRounds/wall.Seconds())
-			}
-		}
-		return min, samples, nil
-	}
-	serialBest, _, err := best(runSerial)
-	if err != nil {
-		return nil, err
-	}
-	batchedBest, samples, err := best(runBatched)
-	if err != nil {
-		return nil, err
-	}
-	p := &BenchProbe{
-		Name:         "batched",
-		Backend:      backend,
-		N:            batchedProbeN,
-		WordsPerPair: benchProbeWPP,
-		Rounds:       benchProbeRounds,
-		Runs:         benchProbeRuns,
-		Batch:        batchedProbeBatch,
-	}
-	if batchedBest > 0 {
-		p.RoundsPerSec = totalRounds / batchedBest.Seconds()
-	}
-	if serialBest > 0 {
-		p.SerialRoundsPerSec = totalRounds / serialBest.Seconds()
-	}
-	if p.SerialRoundsPerSec > 0 {
-		p.Speedup = p.RoundsPerSec / p.SerialRoundsPerSec
-	}
-	dist := stats.Summarize(samples, 0)
-	p.RPSDist = &dist
-	return p, nil
+	return probes, nil
 }
 
-func measureProbe(name, backend string, program clique.NodeFunc) (*BenchProbe, error) {
-	cfg := clique.Config{N: benchProbeN, WordsPerPair: benchProbeWPP, Backend: backend}
-	run := func() error {
-		res, err := clique.Run(cfg, program)
-		if err != nil {
-			return err
-		}
-		if res.Stats.Rounds != benchProbeRounds {
-			return fmt.Errorf("exp: bench probe %s ran %d rounds, want %d", name, res.Stats.Rounds, benchProbeRounds)
-		}
-		return nil
+// checkProbeRounds passes a run's error through and rejects a run that
+// did not take the canonical round count.
+func checkProbeRounds(res *clique.Result, err error) error {
+	if err != nil {
+		return err
 	}
-	if err := run(); err != nil { // warm-up
-		return nil, err
+	if res.Stats.Rounds != benchProbeRounds {
+		return fmt.Errorf("ran %d rounds, want %d", res.Stats.Rounds, benchProbeRounds)
 	}
-	// Per-run Mallocs deltas: the mean is AllocsPerOp (matching the old
-	// aggregate measurement — ReadMemStats itself does not allocate),
-	// and the spread feeds the variance-aware gate.
+	return nil
+}
+
+// measureAllocs sets Value to the mean per-run heap-allocation count
+// over p.Runs runs and Dist to their spread. ReadMemStats itself does
+// not allocate.
+func (p *Probe) measureAllocs(run func() error) error {
 	var before, after runtime.MemStats
 	runtime.GC()
-	samples := make([]float64, 0, benchProbeRuns)
+	samples := make([]float64, 0, p.Runs)
 	runtime.ReadMemStats(&before)
-	for i := 0; i < benchProbeRuns; i++ {
+	for i := 0; i < p.Runs; i++ {
 		if err := run(); err != nil {
-			return nil, err
+			return err
 		}
 		runtime.ReadMemStats(&after)
 		samples = append(samples, float64(after.Mallocs-before.Mallocs))
 		before = after
 	}
 	dist := stats.Summarize(samples, 0)
-	return &BenchProbe{
-		Name:         name,
-		Backend:      backend,
-		N:            benchProbeN,
-		WordsPerPair: benchProbeWPP,
-		Rounds:       benchProbeRounds,
-		Runs:         benchProbeRuns,
-		AllocsPerOp:  dist.Mean,
-		AllocsDist:   &dist,
-	}, nil
+	p.Value, p.Dist = dist.Mean, &dist
+	return nil
+}
+
+// measureRate sets Value to rounds over the best wall time of p.Runs
+// runs and Dist to the per-run rate distribution.
+func (p *Probe) measureRate(rounds int, run func() error) error {
+	var best time.Duration
+	samples := make([]float64, 0, p.Runs)
+	for i := 0; i < p.Runs; i++ {
+		start := time.Now()
+		if err := run(); err != nil {
+			return err
+		}
+		wall := time.Since(start)
+		if best == 0 || wall < best {
+			best = wall
+		}
+		if wall > 0 {
+			samples = append(samples, float64(rounds)/wall.Seconds())
+		}
+	}
+	if best > 0 {
+		p.Value = float64(rounds) / best.Seconds()
+	}
+	dist := stats.Summarize(samples, 0)
+	p.Dist = &dist
+	return nil
 }

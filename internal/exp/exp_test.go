@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/clique"
@@ -160,44 +161,48 @@ func TestJSONRoundTrip(t *testing.T) {
 }
 
 func TestCompare(t *testing.T) {
-	mk := func(rps float64, workers int, rounds int64) *exp.Report {
+	mk := func(rps float64, workers int, rounds, words int64) *exp.Report {
 		return &exp.Report{
 			Schema:  exp.SchemaVersion,
 			Backend: "lockstep",
 			Experiments: []*exp.Result{
-				{ID: "fig1", Sim: exp.SimCost{Runs: 1, Rounds: rounds}},
+				{ID: "fig1", Sim: exp.SimCost{Runs: 1, Rounds: rounds, Words: words}},
 			},
 			Throughput: &exp.Throughput{SimRounds: rounds, WallNS: 1e9, RoundsPerSec: rps, Workers: workers},
 		}
 	}
-	if warns := exp.Compare(mk(100, 1, 50), mk(90, 1, 50), exp.Gate{Frac: 0.25}); len(warns) != 0 {
+	if warns := exp.Compare(mk(100, 1, 50, 900), mk(90, 1, 50, 900)); len(warns) != 0 {
 		t.Errorf("10%% slowdown should pass a 25%% threshold: %v", warns)
 	}
-	warns := exp.Compare(mk(100, 1, 50), mk(50, 1, 50), exp.Gate{Frac: 0.25})
-	if len(warns) != 1 || !strings.Contains(warns[0].String(), "throughput") {
-		t.Errorf("50%% slowdown should warn: %v", warns)
+	warns := exp.Compare(mk(100, 1, 50, 900), mk(50, 1, 50, 900))
+	if len(warns) != 1 || !strings.Contains(warns[0].String(), "throughput") || warns[0].Fatal {
+		t.Errorf("50%% slowdown should warn, not fail: %v", warns)
 	}
-	warns = exp.Compare(mk(100, 1, 50), mk(100, 1, 60), exp.Gate{Frac: 0.25})
-	if len(warns) != 1 || !strings.Contains(warns[0].String(), "model cost") {
-		t.Errorf("model cost change should warn: %v", warns)
+	warns = exp.Compare(mk(100, 1, 50, 900), mk(100, 1, 60, 900))
+	if len(warns) != 1 || !strings.Contains(warns[0].String(), "model cost changed (simulated rounds)") || !warns[0].Fatal {
+		t.Errorf("round count change should fail: %v", warns)
 	}
-	warns = exp.Compare(mk(100, 1, 50), mk(100, 4, 50), exp.Gate{Frac: 0.25})
-	if len(warns) != 1 || !strings.Contains(warns[0].String(), "worker-count mismatch") {
+	warns = exp.Compare(mk(100, 1, 50, 900), mk(100, 1, 50, 901))
+	if len(warns) != 1 || !strings.Contains(warns[0].String(), "model cost changed (words)") || !warns[0].Fatal {
+		t.Errorf("word count change should fail: %v", warns)
+	}
+	warns = exp.Compare(mk(100, 1, 50, 900), mk(100, 4, 50, 900))
+	if len(warns) != 1 || !strings.Contains(warns[0].String(), "worker-count mismatch") || warns[0].Fatal {
 		t.Errorf("worker mismatch should warn instead of comparing: %v", warns)
 	}
-	quick := mk(100, 1, 50)
+	quick := mk(100, 1, 50, 900)
 	quick.Quick = true
-	if warns := exp.Compare(quick, mk(100, 1, 50), exp.Gate{Frac: 0.25}); len(warns) != 1 {
+	if warns := exp.Compare(quick, mk(100, 1, 50, 900)); len(warns) != 1 {
 		t.Errorf("quick-mode mismatch should warn: %v", warns)
 	}
-	dropped := mk(100, 1, 50)
+	dropped := mk(100, 1, 50, 900)
 	dropped.Experiments = nil
-	warns = exp.Compare(mk(100, 1, 50), dropped, exp.Gate{Frac: 0.25})
+	warns = exp.Compare(mk(100, 1, 50, 900), dropped)
 	if len(warns) != 1 || !strings.Contains(warns[0].String(), "missing from the current report") {
 		t.Errorf("dropped experiment should warn: %v", warns)
 	}
-	zeroBase := mk(100, 1, 0)
-	warns = exp.Compare(zeroBase, mk(100, 1, 12), exp.Gate{Frac: 0.25})
+	zeroBase := mk(100, 1, 0, 0)
+	warns = exp.Compare(zeroBase, mk(100, 1, 12, 0))
 	if len(warns) != 1 || strings.Contains(warns[0].String(), "Inf") {
 		t.Errorf("zero-baseline cost change must not print Inf: %v", warns)
 	}
@@ -271,196 +276,202 @@ func mustJSON(t *testing.T, v any) []byte {
 	return data
 }
 
-func TestCompareBenchProbe(t *testing.T) {
-	mk := func(allocs float64) *exp.Report {
-		return &exp.Report{
-			Schema:  exp.SchemaVersion,
-			Backend: "lockstep",
-			Bench: &exp.BenchProbe{
-				Name: "exchange", Backend: "lockstep", N: 64,
-				WordsPerPair: 1, Rounds: 256, Runs: 5, AllocsPerOp: allocs,
-			},
-		}
+// TestCompareGates pins the gate table row by row: the fixed-fraction
+// warn and fail thresholds of distribution-free baselines, the
+// CI-scaled thresholds (two half-widths warn, four fail) and the 2%
+// floor of baselines with a distribution, the allocation probes'
+// absolute slack, and the findings that are never fatal (missing probe,
+// shape mismatch, registry throughput).
+func TestCompareGates(t *testing.T) {
+	probe := func(name, metric string, n, batch int, value float64, dist *stats.Summary) *exp.Probe {
+		return &exp.Probe{Name: name, Metric: metric, Backend: "lockstep", N: n,
+			WordsPerPair: 1, Rounds: 256, Runs: 5, Batch: batch, Value: value, Dist: dist}
 	}
-	if warns := exp.Compare(mk(1000), mk(1050), exp.Gate{Frac: 0.25}); len(warns) != 0 {
-		t.Errorf("5%% allocation growth should pass the 10%% gate: %v", warns)
+	allocs := func(name string, v float64, dist *stats.Summary) *exp.Probe {
+		return probe(name, exp.MetricAllocs, 64, 0, v, dist)
 	}
-	warns := exp.Compare(mk(1000), mk(2000), exp.Gate{Frac: 0.25})
-	if len(warns) != 1 || !strings.Contains(warns[0].String(), "allocs/op") {
-		t.Errorf("doubled allocations should warn: %v", warns)
+	traceOff := func(v float64) *exp.Probe { return probe("trace-off", exp.MetricRoundsPerSec, 64, 0, v, nil) }
+	batched := func(v float64, dist *stats.Summary) *exp.Probe {
+		return probe("batched", exp.MetricRoundsPerSec, 8, 8, v, dist)
 	}
-	shifted := mk(1000)
-	shifted.Bench.N = 128
-	warns = exp.Compare(shifted, mk(5000), exp.Gate{Frac: 0.25})
-	if len(warns) != 1 || !strings.Contains(warns[0].String(), "shape mismatch") {
-		t.Errorf("probe shape change should warn instead of comparing: %v", warns)
+	report := func(ps ...*exp.Probe) *exp.Report {
+		return &exp.Report{Schema: exp.SchemaVersion, Backend: "lockstep", Probes: ps}
 	}
-	// A probe tracked by the baseline but absent from the current report
-	// is lost gate coverage, not a pass: it must surface as a
-	// RegressMissing finding instead of silently reporting "no
-	// regression".
-	warns = exp.Compare(mk(1000), &exp.Report{Schema: exp.SchemaVersion, Backend: "lockstep"}, exp.Gate{Frac: 0.25})
-	if len(warns) != 1 || warns[0].Kind != exp.RegressMissing {
-		t.Errorf("vanished probe should be a %q finding: %v", exp.RegressMissing, warns)
+	throughput := func(rps float64, dist *stats.Summary) *exp.Report {
+		return &exp.Report{Schema: exp.SchemaVersion, Backend: "lockstep",
+			Throughput: &exp.Throughput{SimRounds: 50, WallNS: 1e9, RoundsPerSec: rps, Workers: 1, Dist: dist}}
 	}
-	if !strings.Contains(warns[0].String(), "missing from the current report") {
-		t.Errorf("missing-probe finding should say which side lost it: %v", warns[0])
-	}
-	// The mirror image — a probe the baseline never tracked — runs
-	// ungated and deserves the same kind of flag.
-	warns = exp.Compare(&exp.Report{Schema: exp.SchemaVersion, Backend: "lockstep"}, mk(1000), exp.Gate{Frac: 0.25})
-	if len(warns) != 1 || warns[0].Kind != exp.RegressMissing ||
-		!strings.Contains(warns[0].String(), "missing from the baseline") {
-		t.Errorf("ungated probe should be a %q finding: %v", exp.RegressMissing, warns)
-	}
-}
+	reshape := func(p *exp.Probe, f func(*exp.Probe)) *exp.Probe { f(p); return p }
 
-// TestCompareVarianceAware pins the CI-based gate: with a repeat
-// distribution on the baseline, the warning threshold is
-// CIFactor × half-width below the mean instead of a fixed fraction.
-func TestCompareVarianceAware(t *testing.T) {
-	mk := func(rps float64, dist *stats.Summary) *exp.Report {
-		return &exp.Report{
-			Schema:  exp.SchemaVersion,
-			Backend: "lockstep",
-			Throughput: &exp.Throughput{
-				SimRounds: 50, WallNS: 1e9, RoundsPerSec: rps, Workers: 1, Dist: dist,
-			},
-		}
-	}
-	// Baseline: repeats {98, 100, 102} → mean 100, half-width
-	// t(0.975, 2)·2/√3 = 4.30265·1.1547 ≈ 4.968.
-	d := stats.Summarize([]float64{98, 100, 102}, 0)
-	base := mk(d.Mean, &d)
-	hw := d.HalfWidth()
-
-	// Inside 2 half-widths of the mean: no warning, even though a fixed
-	// 5% threshold would have fired.
-	ok := mk(100-1.5*hw, nil)
-	if warns := exp.Compare(base, ok, exp.Gate{CIFactor: 2, Frac: 0.05}); len(warns) != 0 {
-		t.Errorf("drop inside 2 CI half-widths warned: %v", warns)
-	}
-	// Outside 2 half-widths: warning, even though the fixed fallback
-	// (25%) would have let it pass.
-	bad := mk(100-3*hw, nil)
-	warns := exp.Compare(base, bad, exp.Gate{CIFactor: 2, Frac: 0.25})
-	if len(warns) != 1 || warns[0].Kind != exp.RegressThroughput {
-		t.Errorf("drop beyond 2 CI half-widths should warn: %v", warns)
-	}
-	// A wider CIFactor tolerates the same drop.
-	if warns := exp.Compare(base, bad, exp.Gate{CIFactor: 10, Frac: 0.25}); len(warns) != 0 {
-		t.Errorf("drop inside 10 CI half-widths warned: %v", warns)
-	}
-	// Zero-variance baseline: the minRelSlack floor (2%) keeps noise
-	// from alerting, but a real drop still fires.
+	// Allocation baseline with a spread: {990, 1000, 1010} has mean 1000
+	// and half-width t(0.975, 2)·10/√3 ≈ 24.84.
+	ad := stats.Summarize([]float64{990, 1000, 1010}, 0)
+	ahw := ad.HalfWidth()
+	// Rate baselines with a spread: {98, 100, 102} has mean 100 and
+	// half-width ≈ 4.968; the batched one is the same scaled by 1000.
+	rd := stats.Summarize([]float64{98, 100, 102}, 0)
+	rhw := rd.HalfWidth()
+	bd := stats.Summarize([]float64{98000, 100000, 102000}, 0)
+	bhw := bd.HalfWidth()
 	flat := stats.Summarize([]float64{100, 100, 100}, 0)
-	zbase := mk(100, &flat)
-	if warns := exp.Compare(zbase, mk(99, nil), exp.Gate{}); len(warns) != 0 {
-		t.Errorf("1%% drop under a zero-variance baseline warned: %v", warns)
+
+	type finding struct {
+		kind     string
+		fatal    bool
+		contains string
 	}
-	if warns := exp.Compare(zbase, mk(90, nil), exp.Gate{}); len(warns) != 1 {
-		t.Errorf("10%% drop under a zero-variance baseline should warn: %v", warns)
+	metric := func(fatal bool, contains string) []finding {
+		return []finding{{exp.RegressMetric, fatal, contains}}
+	}
+	cases := []struct {
+		name      string
+		base, cur *exp.Report
+		want      []finding
+	}{
+		// exchange and packed-mm: warn 10%, fail 25%, plus 16 allocs.
+		{"exchange 5% growth passes the 10% gate",
+			report(allocs("exchange", 1000, nil)), report(allocs("exchange", 1050, nil)), nil},
+		{"exchange 20% growth warns", report(allocs("exchange", 1000, nil)), report(allocs("exchange", 1200, nil)),
+			metric(false, "exchange")},
+		{"exchange 30% growth fails the 25% gate", report(allocs("exchange", 1000, nil)), report(allocs("exchange", 1300, nil)),
+			metric(true, "exchange")},
+		{"exchange doubled allocations fail", report(allocs("exchange", 1000, nil)), report(allocs("exchange", 2000, nil)),
+			metric(true, "allocs_per_op on the exchange probe")},
+		{"packed-mm 5% growth passes the 10% gate",
+			report(allocs("packed-mm", 1000, nil)), report(allocs("packed-mm", 1050, nil)), nil},
+		{"packed-mm doubled allocations fail", report(allocs("packed-mm", 1000, nil)), report(allocs("packed-mm", 2000, nil)),
+			metric(true, "packed-mm")},
+		{"alloc rise inside 2 half-widths passes",
+			report(allocs("exchange", ad.Mean, &ad)), report(allocs("exchange", 1000+1.5*ahw, nil)), nil},
+		{"alloc rise between 2 and 4 half-widths (plus slack) warns",
+			report(allocs("exchange", ad.Mean, &ad)), report(allocs("exchange", 1000+3.5*ahw+16, nil)),
+			metric(false, "exchange")},
+		{"alloc rise beyond 4 half-widths (plus slack) fails",
+			report(allocs("exchange", ad.Mean, &ad)), report(allocs("exchange", 1000+4.5*ahw+16, nil)),
+			metric(true, "exchange")},
+
+		// trace-off: warn and fail at 1%.
+		{"trace-off 0.5% drop passes", report(traceOff(100000)), report(traceOff(99500)), nil},
+		{"trace-off 2% drop fails", report(traceOff(100000)), report(traceOff(98000)),
+			metric(true, "rounds_per_sec on the trace-off probe")},
+
+		// batched: warn and fail at 25%.
+		{"batched 10% drop passes", report(batched(100000, nil)), report(batched(90000, nil)), nil},
+		{"batched 30% drop fails", report(batched(100000, nil)), report(batched(70000, nil)),
+			metric(true, "batched")},
+		{"batched drop between 2 and 4 half-widths warns",
+			report(batched(bd.Mean, &bd)), report(batched(100000-3.5*bhw, nil)), metric(false, "batched")},
+		{"batched drop beyond 4 half-widths fails",
+			report(batched(bd.Mean, &bd)), report(batched(100000-5*bhw, nil)), metric(true, "batched")},
+		{"batched-serial has no gate row",
+			report(probe("batched-serial", exp.MetricRoundsPerSec, 8, 8, 100000, nil)),
+			report(probe("batched-serial", exp.MetricRoundsPerSec, 8, 8, 10000, nil)), nil},
+
+		// Registry throughput: warn at 25% or two half-widths, never fatal.
+		{"throughput 10% drop passes", throughput(100, nil), throughput(90, nil), nil},
+		{"throughput 50% drop warns", throughput(100, nil), throughput(50, nil),
+			metric(false, "simulator throughput")},
+		{"throughput drop inside 2 half-widths passes", throughput(rd.Mean, &rd), throughput(100-1.5*rhw, nil), nil},
+		{"throughput drop beyond 2 half-widths warns inside the 25% fraction",
+			throughput(rd.Mean, &rd), throughput(100-3*rhw, nil), metric(false, "simulator throughput")},
+		{"throughput drop beyond 4 half-widths still only warns",
+			throughput(rd.Mean, &rd), throughput(100-5*rhw, nil), metric(false, "simulator throughput")},
+		{"zero-variance baseline: 1% drop stays under the 2% floor", throughput(100, &flat), throughput(99, nil), nil},
+		{"zero-variance baseline: 10% drop warns", throughput(100, &flat), throughput(90, nil),
+			metric(false, "simulator throughput")},
+
+		// Findings that are never fatal.
+		{"exchange shape mismatch is reported, not compared",
+			report(reshape(allocs("exchange", 1000, nil), func(p *exp.Probe) { p.N = 128 })),
+			report(allocs("exchange", 5000, nil)),
+			[]finding{{exp.RegressMismatch, false, "shape mismatch"}}},
+		{"trace-off shape mismatch is reported, not compared",
+			report(traceOff(100000)), report(reshape(traceOff(100000), func(p *exp.Probe) { p.N = 32 })),
+			[]finding{{exp.RegressMismatch, false, "shape mismatch"}}},
+		{"batch-width change is a mismatch, not a regression",
+			report(batched(100000, nil)), report(reshape(batched(100000, nil), func(p *exp.Probe) { p.Batch = 16 })),
+			[]finding{{exp.RegressMismatch, false, "shape mismatch"}}},
+		{"probe missing from the current report",
+			report(allocs("exchange", 1000, nil)), report(),
+			[]finding{{exp.RegressMissing, false, "missing from the current report"}}},
+		{"probe missing from the baseline",
+			report(), report(allocs("exchange", 1000, nil)),
+			[]finding{{exp.RegressMissing, false, "missing from the baseline"}}},
+		{"batched probe missing from the current report",
+			report(batched(100000, nil)), report(),
+			[]finding{{exp.RegressMissing, false, "missing from the current report"}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := exp.Compare(tc.base, tc.cur)
+			if len(got) != len(tc.want) {
+				t.Fatalf("got %d findings, want %d: %v", len(got), len(tc.want), got)
+			}
+			for i, w := range tc.want {
+				g := got[i]
+				if g.Kind != w.kind || g.Fatal != w.fatal || !strings.Contains(g.String(), w.contains) {
+					t.Errorf("finding %d = %+v (%s), want kind %q fatal %v containing %q",
+						i, g, g, w.kind, w.fatal, w.contains)
+				}
+			}
+		})
 	}
 }
 
-// TestAllocRegressionsGate pins the fatal alloc gate's variance-aware
-// path: the tolerance follows the baseline's recorded spread plus the
-// absolute slack.
-func TestAllocRegressionsGate(t *testing.T) {
-	mk := func(allocs float64, dist *stats.Summary) *exp.Report {
-		return &exp.Report{
-			Schema:  exp.SchemaVersion,
-			Backend: "lockstep",
-			Bench: &exp.BenchProbe{
-				Name: "exchange", Backend: "lockstep", N: 64,
-				WordsPerPair: 1, Rounds: 256, Runs: 5,
-				AllocsPerOp: allocs, AllocsDist: dist,
-			},
-		}
-	}
-	d := stats.Summarize([]float64{990, 1000, 1010}, 0)
-	base := mk(d.Mean, &d)
-	hw := d.HalfWidth()
-	within := mk(1000+1.5*hw, nil)
-	if fatal := exp.AllocRegressions(base, within, exp.Gate{CIFactor: 2}); len(fatal) != 0 {
-		t.Errorf("rise inside 2 CI half-widths failed the gate: %v", fatal)
-	}
-	// Beyond 2 half-widths plus the 16-alloc absolute slack: fatal.
-	beyond := mk(1000+2*hw+17+0.5*hw, nil)
-	if fatal := exp.AllocRegressions(base, beyond, exp.Gate{CIFactor: 2}); len(fatal) != 1 {
-		t.Errorf("rise beyond the CI gate passed: %v", fatal)
-	}
-	// Distribution-free baseline falls back to the fraction.
-	nb := mk(1000, nil)
-	if fatal := exp.AllocRegressions(nb, mk(1300, nil), exp.Gate{Frac: 0.25}); len(fatal) != 1 {
-		t.Errorf("30%% rise passed the 25%% fallback gate: %v", fatal)
-	}
-	if fatal := exp.AllocRegressions(nb, mk(1200, nil), exp.Gate{Frac: 0.25}); len(fatal) != 0 {
-		t.Errorf("20%% rise failed the 25%% fallback gate: %v", fatal)
-	}
-}
+// measured runs exp.MeasureProbes once for all the probe tests below.
+var measured = sync.OnceValues(func() ([]*exp.Probe, error) { return exp.MeasureProbes("lockstep") })
 
-func TestComparePackedProbe(t *testing.T) {
-	mk := func(allocs float64) *exp.Report {
-		return &exp.Report{
-			Schema:  exp.SchemaVersion,
-			Backend: "lockstep",
-			BenchPacked: &exp.BenchProbe{
-				Name: "packed-mm", Backend: "lockstep", N: 64,
-				WordsPerPair: 1, Rounds: 256, Runs: 5, AllocsPerOp: allocs,
-			},
-		}
-	}
-	if warns := exp.Compare(mk(1000), mk(1050), exp.Gate{Frac: 0.25}); len(warns) != 0 {
-		t.Errorf("5%% allocation growth should pass the 10%% gate: %v", warns)
-	}
-	warns := exp.Compare(mk(1000), mk(2000), exp.Gate{Frac: 0.25})
-	if len(warns) != 1 || !strings.Contains(warns[0].String(), "packed-mm") {
-		t.Errorf("doubled packed-probe allocations should warn: %v", warns)
-	}
-	if warns[0].Kind != exp.RegressAllocs {
-		t.Errorf("allocation regression kind = %q, want %q", warns[0].Kind, exp.RegressAllocs)
-	}
-}
-
-func TestMeasurePackedProbe(t *testing.T) {
-	probe, err := exp.MeasurePackedProbe("lockstep")
+// measuredProbe returns one probe of the shared measurement.
+func measuredProbe(t *testing.T, name string) *exp.Probe {
+	t.Helper()
+	probes, err := measured()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if probe.Name != "packed-mm" || probe.N != 64 || probe.Rounds != 256 {
+	for _, p := range probes {
+		if p.Name == name {
+			if p.Backend != "lockstep" || p.Rounds != 256 || p.Runs < 2 || p.Dist == nil {
+				t.Errorf("unexpected %s probe shape: %+v", name, p)
+			}
+			return p
+		}
+	}
+	t.Fatalf("MeasureProbes returned no %q probe", name)
+	return nil
+}
+
+func TestMeasurePackedProbe(t *testing.T) {
+	probe := measuredProbe(t, "packed-mm")
+	if probe.Metric != exp.MetricAllocs || probe.N != 64 {
 		t.Errorf("unexpected probe shape: %+v", probe)
 	}
-	if probe.AllocsPerOp <= 0 {
-		t.Errorf("allocs/op = %v, want > 0", probe.AllocsPerOp)
+	if probe.Value <= 0 {
+		t.Errorf("allocs/op = %v, want > 0", probe.Value)
 	}
 	// The packed product allocates its broadcast table from the pooled
 	// scratch and one output row per call; anything in the 10^5 range
 	// means the pooling came unhooked.
-	if probe.AllocsPerOp > 100_000 {
-		t.Errorf("allocs/op = %v; the packed boolean-MM path has regressed badly", probe.AllocsPerOp)
+	if probe.Value > 100_000 {
+		t.Errorf("allocs/op = %v; the packed boolean-MM path has regressed badly", probe.Value)
 	}
 }
 
 func TestMeasureBenchProbe(t *testing.T) {
-	probe, err := exp.MeasureBenchProbe("lockstep")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if probe.Name != "exchange" || probe.N != 64 || probe.Rounds != 256 {
+	probe := measuredProbe(t, "exchange")
+	if probe.Metric != exp.MetricAllocs || probe.N != 64 {
 		t.Errorf("unexpected probe shape: %+v", probe)
 	}
-	if probe.AllocsPerOp <= 0 {
-		t.Errorf("allocs/op = %v, want > 0", probe.AllocsPerOp)
+	if probe.Value <= 0 {
+		t.Errorf("allocs/op = %v, want > 0", probe.Value)
 	}
 	// The whole point of the batched collective plane: the canonical
 	// exchange (64 nodes x 256 rounds of one-word gossip) must stay
 	// around a thousand allocations per run, not the ~10^6 the
 	// hand-rolled per-round tables used to cost.
-	if probe.AllocsPerOp > 100_000 {
-		t.Errorf("allocs/op = %v; the batched exchange path has regressed badly", probe.AllocsPerOp)
+	if probe.Value > 100_000 {
+		t.Errorf("allocs/op = %v; the batched exchange path has regressed badly", probe.Value)
 	}
-	if _, err := exp.MeasureBenchProbe("no-such-backend"); err == nil {
+	if _, err := exp.MeasureProbes("no-such-backend"); err == nil {
 		t.Error("unknown backend accepted")
 	}
 }

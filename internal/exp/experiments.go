@@ -16,6 +16,7 @@ import (
 	"repro/internal/routing"
 	"repro/internal/subgraph"
 	"repro/internal/vcover"
+	"repro/internal/workload"
 )
 
 // The registered experiments, in report order. Each body is the former
@@ -59,6 +60,31 @@ func init() {
 		Title: "balanced router vs direct delivery on a skewed instance", Run: expAblation})
 }
 
+// fig1Rows are the E1 table rows in order: the workload catalogue
+// entry each row runs (with seed = n), its display name, and its key in
+// the fine-grained map ("" when the problem has no Figure 1 entry to
+// check against).
+var fig1Rows = []struct{ algorithm, name, key string }{
+	{"boolmm-3d", "Boolean MM (3D)", "semiring-mm"},
+	{"boolmm-naive", "Boolean MM (naive)", ""},
+	{"apsp", "APSP w/ud (min,+ squaring)", "apsp-w-ud"},
+	{"triangle", "Triangle detection", "triangle"},
+	{"k-is", "3-IS detection", "k-is"},
+	{"k-ds", "3-DS (Theorem 9)", "k-ds"},
+	{"k-vc", "3-VC (Theorem 11)", "k-vc"},
+	{"maxis", "MaxIS (full gather)", "maxis"},
+}
+
+// catalogued looks one workload catalogue entry up, failing the
+// experiment when it is absent.
+func catalogued(c *Ctx, name string) workload.Algorithm {
+	a, ok := workload.Get(name)
+	if !ok {
+		c.Failf("no workload %q in the catalogue", name)
+	}
+	return a
+}
+
 // E1 — Figure 1: measured scaling and fitted exponents for the
 // implemented problems, checked against the map's implemented bounds.
 func expFig1(c *Ctx) {
@@ -76,7 +102,10 @@ func expFig1(c *Ctx) {
 	// the engine amortises round scheduling across them. Round counts
 	// are bit-identical to serial runs (the batched≡serial invariant),
 	// so the deterministic envelope does not depend on the grouping.
-	ws := Fig1Workloads()
+	ws := make([]workload.Algorithm, len(fig1Rows))
+	for i, row := range fig1Rows {
+		ws[i] = catalogued(c, row.algorithm)
+	}
 	rounds := make([][]int, len(ws))
 	for i := range rounds {
 		rounds[i] = make([]int, len(ns))
@@ -94,7 +123,7 @@ func expFig1(c *Ctx) {
 			idxs := byWPP[wpp]
 			progs := make([]clique.NodeFunc, len(idxs))
 			for j, wi := range idxs {
-				progs[j] = ws[wi].Make(n)
+				progs[j] = ws[wi].Make(n, uint64(n))
 			}
 			rs := c.RoundsBatch(n, wpp, progs)
 			for j, wi := range idxs {
@@ -104,20 +133,20 @@ func expFig1(c *Ctx) {
 	}
 
 	m := fgc.Figure1(3)
-	for wi, p := range ws {
+	for wi, p := range fig1Rows {
 		rs := rounds[wi]
-		row := []Cell{Str(p.Name)}
+		row := []Cell{Str(p.name)}
 		for _, r := range rs {
 			row = append(row, Int(r))
 		}
 		fit := fgc.FitExponent(ns, rs)
 		bound := Str("-")
-		if prob, ok := m.Get(p.Key); ok && p.Key != "" {
+		if prob, ok := m.Get(p.key); ok && p.key != "" {
 			bound = Float(prob.ImplUpper, "%.3f")
 		}
 		row = append(row, Float(fit, "%.3f"), bound)
 		t.Row(row...)
-		c.Metric("fitted exponent: "+p.Name, fit, "exponent")
+		c.Metric("fitted exponent: "+p.name, fit, "exponent")
 	}
 
 	c.Notef("boolean-payload rows (MM, triangle, k-IS, k-DS, k-VC) ride the bit-packed plane:")
@@ -529,17 +558,10 @@ func expSubstrates(c *Ctx) {
 		st.Row(Int(kn), Int(r))
 	}
 	mt := c.Table("matrix multiplication, naive vs 3D", "n", "naive rounds", "3D rounds")
-	naiveW, err := Fig1Workload("Boolean MM (naive)")
-	if err != nil {
-		c.Failf("%v", err)
-	}
-	tdW, err := Fig1Workload("Boolean MM (3D)")
-	if err != nil {
-		c.Failf("%v", err)
-	}
+	naiveW, tdW := catalogued(c, "boolmm-naive"), catalogued(c, "boolmm-3d")
 	for _, n := range c.Sizes([]int{27, 64, 125, 216}, []int{8, 27}) {
-		naive := c.Rounds(n, naiveW.WPP, naiveW.Make(n))
-		td := c.Rounds(n, tdW.WPP, tdW.Make(n))
+		naive := c.Rounds(n, naiveW.WPP, naiveW.Make(n, uint64(n)))
+		td := c.Rounds(n, tdW.WPP, tdW.Make(n, uint64(n)))
 		mt.Row(Int(n), Int(naive), Int(td))
 	}
 }

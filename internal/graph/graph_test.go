@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -345,17 +346,55 @@ func TestPrivateAssignmentPartition(t *testing.T) {
 }
 
 func TestOracleConsistencyQuick(t *testing.T) {
-	// Property: on random small graphs, a found IS of size k is
-	// independent, and complement cliques match.
+	// Properties on random small graphs at three densities: a found IS
+	// of size k is independent and complement cliques match; the
+	// branch-and-bound independence number equals the largest k plain
+	// subset enumeration finds; and dominating sets agree with a direct
+	// closed-neighbourhood check over every vertex subset.
 	f := func(seed uint64) bool {
-		g := Gnp(9, 0.5, seed)
-		comp := g.Complement()
-		for k := 1; k <= 4; k++ {
-			if HasIndependentSetOfSize(g, k) != HasCliqueOfSize(comp, k) {
+		for _, p := range []float64{0.3, 0.5, 0.8} {
+			g := Gnp(9, p, seed)
+			comp := g.Complement()
+			for k := 1; k <= 4; k++ {
+				if HasIndependentSetOfSize(g, k) != HasCliqueOfSize(comp, k) {
+					return false
+				}
+				if s := FindIndependentSet(g, k); s != nil && !IsIndependentSet(g, s) {
+					return false
+				}
+			}
+			alpha := 0
+			for k := 1; k <= g.N; k++ {
+				if HasIndependentSetOfSize(g, k) {
+					alpha = k
+				}
+			}
+			if MaxIndependentSetSize(g) != alpha {
 				return false
 			}
-			if s := FindIndependentSet(g, k); s != nil && !IsIndependentSet(g, s) {
-				return false
+			// Reference domination number: the smallest vertex subset
+			// whose closed neighbourhoods cover every vertex.
+			gamma := g.N
+			for mask := 0; mask < 1<<g.N; mask++ {
+				covered := 0
+				for v := 0; v < g.N; v++ {
+					if mask&(1<<v) != 0 {
+						covered |= 1 << v
+						g.Neighbors(v, func(u int) { covered |= 1 << u })
+					}
+				}
+				if covered == 1<<g.N-1 {
+					gamma = min(gamma, bits.OnesCount(uint(mask)))
+				}
+			}
+			for k := 1; k <= g.N; k++ {
+				s := FindDominatingSet(g, k)
+				if (s != nil) != HasDominatingSetOfSize(g, k) || (s != nil) != (k >= gamma) {
+					return false
+				}
+				if s != nil && (len(s) != k || !IsDominatingSet(g, s)) {
+					return false
+				}
 			}
 		}
 		return true
