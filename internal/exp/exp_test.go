@@ -276,13 +276,28 @@ func mustJSON(t *testing.T, v any) []byte {
 	return data
 }
 
-// TestCompareGates pins the gate table row by row: the fixed-fraction
-// warn and fail thresholds of distribution-free baselines, the
-// CI-scaled thresholds (two half-widths warn, four fail) and the 2%
-// floor of baselines with a distribution, the allocation probes'
-// absolute slack, and the findings that are never fatal (missing probe,
-// shape mismatch, registry throughput).
-func TestCompareGates(t *testing.T) {
+// gateCase is one row of the gate table's test table: Compare(base, cur)
+// must return exactly the findings in want. test names the Test function
+// that runs the row.
+type gateCase struct {
+	test, name string
+	base, cur  *exp.Report
+	want       []gateFinding
+}
+
+type gateFinding struct {
+	kind     string
+	fatal    bool
+	contains string
+}
+
+// gateCases pins the gate table row by row: the fixed-fraction warn and
+// fail thresholds of distribution-free baselines, the CI-scaled
+// thresholds (two half-widths warn, four fail) and the 2% floor of
+// baselines with a distribution, the allocation probes' absolute slack,
+// and the findings that are never fatal (missing probe, shape mismatch,
+// registry throughput).
+func gateCases() []gateCase {
 	probe := func(name, metric string, n, batch int, value float64, dist *stats.Summary) *exp.Probe {
 		return &exp.Probe{Name: name, Metric: metric, Backend: "lockstep", N: n,
 			WordsPerPair: 1, Rounds: 256, Runs: 5, Batch: batch, Value: value, Dist: dist}
@@ -315,93 +330,103 @@ func TestCompareGates(t *testing.T) {
 	bhw := bd.HalfWidth()
 	flat := stats.Summarize([]float64{100, 100, 100}, 0)
 
-	type finding struct {
-		kind     string
-		fatal    bool
-		contains string
+	metric := func(fatal bool, contains string) []gateFinding {
+		return []gateFinding{{exp.RegressMetric, fatal, contains}}
 	}
-	metric := func(fatal bool, contains string) []finding {
-		return []finding{{exp.RegressMetric, fatal, contains}}
-	}
-	cases := []struct {
-		name      string
-		base, cur *exp.Report
-		want      []finding
-	}{
+	const (
+		benchT    = "TestCompareBenchProbe"
+		packedT   = "TestComparePackedProbe"
+		allocT    = "TestAllocRegressionsGate"
+		varianceT = "TestCompareVarianceAware"
+		traceT    = "TestCompareTraceOffProbe"
+		batchedT  = "TestCompareBatchedProbe"
+	)
+	return []gateCase{
 		// exchange and packed-mm: warn 10%, fail 25%, plus 16 allocs.
-		{"exchange 5% growth passes the 10% gate",
+		{benchT, "exchange 5% growth passes the 10% gate",
 			report(allocs("exchange", 1000, nil)), report(allocs("exchange", 1050, nil)), nil},
-		{"exchange 20% growth warns", report(allocs("exchange", 1000, nil)), report(allocs("exchange", 1200, nil)),
+		{allocT, "exchange 20% growth warns", report(allocs("exchange", 1000, nil)), report(allocs("exchange", 1200, nil)),
 			metric(false, "exchange")},
-		{"exchange 30% growth fails the 25% gate", report(allocs("exchange", 1000, nil)), report(allocs("exchange", 1300, nil)),
+		{allocT, "exchange 30% growth fails the 25% gate", report(allocs("exchange", 1000, nil)), report(allocs("exchange", 1300, nil)),
 			metric(true, "exchange")},
-		{"exchange doubled allocations fail", report(allocs("exchange", 1000, nil)), report(allocs("exchange", 2000, nil)),
+		{benchT, "exchange doubled allocations fail", report(allocs("exchange", 1000, nil)), report(allocs("exchange", 2000, nil)),
 			metric(true, "allocs_per_op on the exchange probe")},
-		{"packed-mm 5% growth passes the 10% gate",
+		{packedT, "packed-mm 5% growth passes the 10% gate",
 			report(allocs("packed-mm", 1000, nil)), report(allocs("packed-mm", 1050, nil)), nil},
-		{"packed-mm doubled allocations fail", report(allocs("packed-mm", 1000, nil)), report(allocs("packed-mm", 2000, nil)),
+		{packedT, "packed-mm doubled allocations fail", report(allocs("packed-mm", 1000, nil)), report(allocs("packed-mm", 2000, nil)),
 			metric(true, "packed-mm")},
-		{"alloc rise inside 2 half-widths passes",
+		{allocT, "alloc rise inside 2 half-widths passes",
 			report(allocs("exchange", ad.Mean, &ad)), report(allocs("exchange", 1000+1.5*ahw, nil)), nil},
-		{"alloc rise between 2 and 4 half-widths (plus slack) warns",
+		{allocT, "alloc rise between 2 and 4 half-widths (plus slack) warns",
 			report(allocs("exchange", ad.Mean, &ad)), report(allocs("exchange", 1000+3.5*ahw+16, nil)),
 			metric(false, "exchange")},
-		{"alloc rise beyond 4 half-widths (plus slack) fails",
+		{allocT, "alloc rise beyond 4 half-widths (plus slack) fails",
 			report(allocs("exchange", ad.Mean, &ad)), report(allocs("exchange", 1000+4.5*ahw+16, nil)),
 			metric(true, "exchange")},
 
 		// trace-off: warn and fail at 1%.
-		{"trace-off 0.5% drop passes", report(traceOff(100000)), report(traceOff(99500)), nil},
-		{"trace-off 2% drop fails", report(traceOff(100000)), report(traceOff(98000)),
+		{traceT, "trace-off 0.5% drop passes", report(traceOff(100000)), report(traceOff(99500)), nil},
+		{traceT, "trace-off 2% drop fails", report(traceOff(100000)), report(traceOff(98000)),
 			metric(true, "rounds_per_sec on the trace-off probe")},
 
 		// batched: warn and fail at 25%.
-		{"batched 10% drop passes", report(batched(100000, nil)), report(batched(90000, nil)), nil},
-		{"batched 30% drop fails", report(batched(100000, nil)), report(batched(70000, nil)),
+		{batchedT, "batched 10% drop passes", report(batched(100000, nil)), report(batched(90000, nil)), nil},
+		{batchedT, "batched 30% drop fails", report(batched(100000, nil)), report(batched(70000, nil)),
 			metric(true, "batched")},
-		{"batched drop between 2 and 4 half-widths warns",
+		{batchedT, "batched drop between 2 and 4 half-widths warns",
 			report(batched(bd.Mean, &bd)), report(batched(100000-3.5*bhw, nil)), metric(false, "batched")},
-		{"batched drop beyond 4 half-widths fails",
+		{batchedT, "batched drop beyond 4 half-widths fails",
 			report(batched(bd.Mean, &bd)), report(batched(100000-5*bhw, nil)), metric(true, "batched")},
-		{"batched-serial has no gate row",
+		{batchedT, "batched-serial has no gate row",
 			report(probe("batched-serial", exp.MetricRoundsPerSec, 8, 8, 100000, nil)),
 			report(probe("batched-serial", exp.MetricRoundsPerSec, 8, 8, 10000, nil)), nil},
 
 		// Registry throughput: warn at 25% or two half-widths, never fatal.
-		{"throughput 10% drop passes", throughput(100, nil), throughput(90, nil), nil},
-		{"throughput 50% drop warns", throughput(100, nil), throughput(50, nil),
+		{varianceT, "throughput 10% drop passes", throughput(100, nil), throughput(90, nil), nil},
+		{varianceT, "throughput 50% drop warns", throughput(100, nil), throughput(50, nil),
 			metric(false, "simulator throughput")},
-		{"throughput drop inside 2 half-widths passes", throughput(rd.Mean, &rd), throughput(100-1.5*rhw, nil), nil},
-		{"throughput drop beyond 2 half-widths warns inside the 25% fraction",
+		{varianceT, "throughput drop inside 2 half-widths passes", throughput(rd.Mean, &rd), throughput(100-1.5*rhw, nil), nil},
+		{varianceT, "throughput drop beyond 2 half-widths warns inside the 25% fraction",
 			throughput(rd.Mean, &rd), throughput(100-3*rhw, nil), metric(false, "simulator throughput")},
-		{"throughput drop beyond 4 half-widths still only warns",
+		{varianceT, "throughput drop beyond 4 half-widths still only warns",
 			throughput(rd.Mean, &rd), throughput(100-5*rhw, nil), metric(false, "simulator throughput")},
-		{"zero-variance baseline: 1% drop stays under the 2% floor", throughput(100, &flat), throughput(99, nil), nil},
-		{"zero-variance baseline: 10% drop warns", throughput(100, &flat), throughput(90, nil),
+		{varianceT, "zero-variance baseline: 1% drop stays under the 2% floor", throughput(100, &flat), throughput(99, nil), nil},
+		{varianceT, "zero-variance baseline: 10% drop warns", throughput(100, &flat), throughput(90, nil),
 			metric(false, "simulator throughput")},
 
 		// Findings that are never fatal.
-		{"exchange shape mismatch is reported, not compared",
+		{benchT, "exchange shape mismatch is reported, not compared",
 			report(reshape(allocs("exchange", 1000, nil), func(p *exp.Probe) { p.N = 128 })),
 			report(allocs("exchange", 5000, nil)),
-			[]finding{{exp.RegressMismatch, false, "shape mismatch"}}},
-		{"trace-off shape mismatch is reported, not compared",
+			[]gateFinding{{exp.RegressMismatch, false, "shape mismatch"}}},
+		{traceT, "trace-off shape mismatch is reported, not compared",
 			report(traceOff(100000)), report(reshape(traceOff(100000), func(p *exp.Probe) { p.N = 32 })),
-			[]finding{{exp.RegressMismatch, false, "shape mismatch"}}},
-		{"batch-width change is a mismatch, not a regression",
+			[]gateFinding{{exp.RegressMismatch, false, "shape mismatch"}}},
+		{batchedT, "batch-width change is a mismatch, not a regression",
 			report(batched(100000, nil)), report(reshape(batched(100000, nil), func(p *exp.Probe) { p.Batch = 16 })),
-			[]finding{{exp.RegressMismatch, false, "shape mismatch"}}},
-		{"probe missing from the current report",
+			[]gateFinding{{exp.RegressMismatch, false, "shape mismatch"}}},
+		{benchT, "probe missing from the current report",
 			report(allocs("exchange", 1000, nil)), report(),
-			[]finding{{exp.RegressMissing, false, "missing from the current report"}}},
-		{"probe missing from the baseline",
+			[]gateFinding{{exp.RegressMissing, false, "missing from the current report"}}},
+		{benchT, "probe missing from the baseline",
 			report(), report(allocs("exchange", 1000, nil)),
-			[]finding{{exp.RegressMissing, false, "missing from the baseline"}}},
-		{"batched probe missing from the current report",
+			[]gateFinding{{exp.RegressMissing, false, "missing from the baseline"}}},
+		{batchedT, "batched probe missing from the current report",
 			report(batched(100000, nil)), report(),
-			[]finding{{exp.RegressMissing, false, "missing from the current report"}}},
+			[]gateFinding{{exp.RegressMissing, false, "missing from the current report"}}},
 	}
-	for _, tc := range cases {
+}
+
+// runGateCases runs the rows of gateCases that belong to the calling
+// test, and fails if that test owns no row.
+func runGateCases(t *testing.T) {
+	t.Helper()
+	ran := 0
+	for _, tc := range gateCases() {
+		if tc.test != t.Name() {
+			continue
+		}
+		ran++
 		t.Run(tc.name, func(t *testing.T) {
 			got := exp.Compare(tc.base, tc.cur)
 			if len(got) != len(tc.want) {
@@ -416,7 +441,32 @@ func TestCompareGates(t *testing.T) {
 			}
 		})
 	}
+	if ran == 0 {
+		t.Fatalf("no gate case belongs to %s", t.Name())
+	}
 }
+
+// The exchange probe: fixed-fraction gate, shape mismatch, and a probe
+// missing from either side.
+func TestCompareBenchProbe(t *testing.T) { runGateCases(t) }
+
+// The packed-mm probe shares the exchange probe's allocation gate.
+func TestComparePackedProbe(t *testing.T) { runGateCases(t) }
+
+// The allocation gate's fatal threshold: the fixed fraction without a
+// baseline spread, CI half-widths plus the absolute slack with one.
+func TestAllocRegressionsGate(t *testing.T) { runGateCases(t) }
+
+// The registry throughput gate: CI half-widths with a baseline spread,
+// the 2% floor of a zero-variance one, and never fatal.
+func TestCompareVarianceAware(t *testing.T) { runGateCases(t) }
+
+// The trace-off probe's 1% gate and its shape mismatch.
+func TestCompareTraceOffProbe(t *testing.T) { runGateCases(t) }
+
+// The batched probe's 25% and CI gates, its ungated serial reference,
+// batch-width mismatch and a missing probe.
+func TestCompareBatchedProbe(t *testing.T) { runGateCases(t) }
 
 // measured runs exp.MeasureProbes once for all the probe tests below.
 var measured = sync.OnceValues(func() ([]*exp.Probe, error) { return exp.MeasureProbes("lockstep") })
