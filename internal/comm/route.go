@@ -33,14 +33,21 @@ func splitmix64(x uint64) uint64 {
 //
 // seed selects the intermediate assignment; algorithms fix it so the
 // whole computation stays deterministic.
+//
+// Each phase counts its per-destination load first and carves its
+// queues from one backing array, so records are written in place; the
+// returned packets' payloads likewise share one slice.
 func Route(nd clique.Endpoint, packets []Packet, w int, seed uint64) []Packet {
 	defer trace.Op(nd, "Route", len(packets)*(w+2))()
 	n := nd.N()
 	me := nd.ID()
+	mid := func(idx int) int {
+		return int(splitmix64(seed^uint64(me)*0x100000001b3^uint64(idx)) % uint64(n))
+	}
 
 	// Phase 1: spread every packet to a pseudo-random intermediate.
 	// Wire format per packet: dst, src, payload words.
-	queues := make([][]uint64, n)
+	load := make([]int, n)
 	for idx, p := range packets {
 		if len(p.Payload) != w {
 			nd.Fail("comm: packet %d has payload width %d, instance width is %d", idx, len(p.Payload), w)
@@ -48,11 +55,13 @@ func Route(nd clique.Endpoint, packets []Packet, w int, seed uint64) []Packet {
 		if p.Dst < 0 || p.Dst >= n {
 			nd.Fail("comm: packet %d has bad destination %d", idx, p.Dst)
 		}
-		mid := int(splitmix64(seed^uint64(me)*0x100000001b3^uint64(idx)) % uint64(n))
-		rec := make([]uint64, 0, w+2)
-		rec = append(rec, uint64(p.Dst), uint64(me))
-		rec = append(rec, p.Payload...)
-		queues[mid] = append(queues[mid], rec...)
+		load[mid(idx)] += w + 2
+	}
+	queues := carveQueues(load)
+	for idx, p := range packets {
+		t := mid(idx)
+		queues[t] = append(queues[t], uint64(p.Dst), uint64(me))
+		queues[t] = append(queues[t], p.Payload...)
 	}
 	// Packets whose intermediate is the sender itself never hit the
 	// network in phase 1; hold them aside and let them join phase 2.
@@ -62,43 +71,34 @@ func Route(nd clique.Endpoint, packets []Packet, w int, seed uint64) []Packet {
 	in := AllToAll(nd, queues)
 
 	// Phase 2: every intermediate forwards to true destinations.
-	// Wire format per packet: src, payload words.
-	queues2 := make([][]uint64, n)
-	var local []Packet
-	forward := func(stream []uint64) {
-		for off := 0; off+w+2 <= len(stream); off += w + 2 {
-			dst := int(stream[off])
-			src := stream[off+1]
-			payload := stream[off+2 : off+2+w]
-			if dst == me {
-				local = append(local, Packet{Src: int(src), Dst: me, Payload: append([]uint64(nil), payload...)})
-				continue
-			}
-			rec := make([]uint64, 0, w+1)
-			rec = append(rec, src)
-			rec = append(rec, payload...)
-			queues2[dst] = append(queues2[dst], rec...)
+	// Wire format per packet: src, payload words. Packets already at
+	// their destination stay local and lead the output.
+	clear(load)
+	nLocal := 0
+	records(held, in, w+2, func(rec []uint64) {
+		if dst := int(rec[0]); dst == me {
+			nLocal++
+		} else {
+			load[dst] += w + 1
 		}
-	}
-	forward(held)
-	for p := 0; p < n; p++ {
-		forward(in[p])
-	}
+	})
+	queues2 := carveQueues(load)
+	records(held, in, w+2, func(rec []uint64) {
+		if dst := int(rec[0]); dst != me {
+			queues2[dst] = append(queues2[dst], rec[1:]...)
+		}
+	})
 
 	in2 := AllToAll(nd, queues2)
 
-	out := local
-	for p := 0; p < n; p++ {
-		stream := in2[p]
-		for off := 0; off+w+1 <= len(stream); off += w + 1 {
-			out = append(out, Packet{
-				Src:     int(stream[off]),
-				Dst:     me,
-				Payload: append([]uint64(nil), stream[off+1:off+1+w]...),
-			})
+	out := newInbox(nLocal+countRecords(in2, w+1), w)
+	records(held, in, w+2, func(rec []uint64) {
+		if int(rec[0]) == me {
+			out.add(int(rec[1]), me, rec[2:])
 		}
-	}
-	return out
+	})
+	records(nil, in2, w+1, func(rec []uint64) { out.add(int(rec[0]), me, rec[1:]) })
+	return out.packets
 }
 
 // RouteDirect is the ablation baseline: every packet travels straight to
@@ -109,30 +109,84 @@ func RouteDirect(nd clique.Endpoint, packets []Packet, w int) []Packet {
 	defer trace.Op(nd, "RouteDirect", len(packets)*(w+1))()
 	n := nd.N()
 	me := nd.ID()
-	queues := make([][]uint64, n)
+	load := make([]int, n)
 	for idx, p := range packets {
 		if len(p.Payload) != w {
 			nd.Fail("comm: packet %d has payload width %d, instance width is %d", idx, len(p.Payload), w)
 		}
-		rec := make([]uint64, 0, w+1)
-		rec = append(rec, uint64(me))
-		rec = append(rec, p.Payload...)
 		if p.Dst == me {
 			nd.Fail("comm: RouteDirect packet addressed to self")
 		}
-		queues[p.Dst] = append(queues[p.Dst], rec...)
+		load[p.Dst] += w + 1
+	}
+	queues := carveQueues(load)
+	for _, p := range packets {
+		queues[p.Dst] = append(queues[p.Dst], uint64(me))
+		queues[p.Dst] = append(queues[p.Dst], p.Payload...)
 	}
 	in := AllToAll(nd, queues)
-	var out []Packet
-	for p := 0; p < n; p++ {
-		stream := in[p]
-		for off := 0; off+w+1 <= len(stream); off += w + 1 {
-			out = append(out, Packet{
-				Src:     int(stream[off]),
-				Dst:     me,
-				Payload: append([]uint64(nil), stream[off+1:off+1+w]...),
-			})
+	out := newInbox(countRecords(in, w+1), w)
+	records(nil, in, w+1, func(rec []uint64) { out.add(int(rec[0]), me, rec[1:]) })
+	return out.packets
+}
+
+// carveQueues returns one empty queue per destination with capacity
+// exactly load[t] words, all cut from a single backing array, so the
+// appends that fill them never reallocate.
+func carveQueues(load []int) [][]uint64 {
+	total := 0
+	for _, l := range load {
+		total += l
+	}
+	backing := make([]uint64, total)
+	queues := make([][]uint64, len(load))
+	off := 0
+	for t, l := range load {
+		queues[t] = backing[off : off : off+l]
+		off += l
+	}
+	return queues
+}
+
+// records calls f on every whole stride-word record of first and then
+// of each stream in order; a trailing partial record is ignored.
+func records(first []uint64, streams [][]uint64, stride int, f func(rec []uint64)) {
+	each := func(stream []uint64) {
+		for off := 0; off+stride <= len(stream); off += stride {
+			f(stream[off : off+stride])
 		}
 	}
-	return out
+	each(first)
+	for _, s := range streams {
+		each(s)
+	}
+}
+
+// countRecords is the number of whole stride-word records in streams.
+func countRecords(streams [][]uint64, stride int) int {
+	total := 0
+	for _, s := range streams {
+		total += len(s) / stride
+	}
+	return total
+}
+
+// inbox collects received packets; their payloads are carved in order
+// from one slice sized for every packet up front.
+type inbox struct {
+	packets []Packet
+	words   []uint64
+}
+
+func newInbox(count, w int) *inbox {
+	return &inbox{packets: make([]Packet, 0, count), words: make([]uint64, count*w)}
+}
+
+// add appends a packet carrying a copy of payload.
+func (b *inbox) add(src, dst int, payload []uint64) {
+	w := len(payload)
+	p := b.words[:w:w]
+	b.words = b.words[w:]
+	copy(p, payload)
+	b.packets = append(b.packets, Packet{Src: src, Dst: dst, Payload: p})
 }

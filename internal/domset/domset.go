@@ -1,6 +1,7 @@
 package domset
 
 import (
+	"repro/internal/bitvec"
 	"repro/internal/clique"
 	"repro/internal/comm"
 	"repro/internal/graph"
@@ -49,28 +50,60 @@ func Find(nd clique.Endpoint, row graph.Bitset, k int) Result {
 	return agreeOnWitness(nd, witness, k)
 }
 
-// searchDominating returns a k-subset of candidates dominating all of g,
-// or nil.
+// searchDominating returns the lexicographically first k-subset of
+// candidates (by candidate index) dominating all of g, or nil. The
+// candidates' closed-neighbourhood rows are built once; depth d keeps
+// the OR of the first d picks, so each leaf costs one word-parallel OR
+// and a full-row test. A prefix that already dominates ends the search:
+// its first completion in lexicographic order is the next k-d
+// candidates.
 func searchDominating(g *graph.Graph, candidates []int, k int) []int {
-	sel := make([]int, 0, k)
-	var rec func(start int) []int
-	rec = func(start int) []int {
-		if len(sel) == k {
-			if graph.IsDominatingSet(g, sel) {
-				return append([]int(nil), sel...)
+	n, w := g.N, bitvec.Words(g.N)
+	closed := make([]uint64, len(candidates)*w)
+	for i, v := range candidates {
+		r := bitvec.Row(closed[i*w : (i+1)*w])
+		r.CopyFrom(bitvec.Row(g.Row(v)))
+		r.Set(v)
+	}
+	prefix := make([]uint64, (k+1)*w)
+	row := func(buf []uint64, i int) bitvec.Row { return bitvec.Row(buf[i*w : (i+1)*w : (i+1)*w]) }
+	full := func(r bitvec.Row) bool { return r.OnesCount() == n }
+	pick := make([]int, 0, k)
+	var rec func(start int) bool
+	rec = func(start int) bool {
+		d := len(pick)
+		if full(row(prefix, d)) {
+			if start+k-d > len(candidates) {
+				return false
 			}
-			return nil
-		}
-		for i := start; i < len(candidates); i++ {
-			sel = append(sel, candidates[i])
-			if got := rec(i + 1); got != nil {
-				return got
+			for i := start; len(pick) < k; i++ {
+				pick = append(pick, i)
 			}
-			sel = sel[:len(sel)-1]
+			return true
 		}
+		if d == k {
+			return false
+		}
+		for i := start; i+k-d <= len(candidates); i++ {
+			next := row(prefix, d+1)
+			next.CopyFrom(row(prefix, d))
+			next.Or(row(closed, i))
+			pick = append(pick, i)
+			if rec(i + 1) {
+				return true
+			}
+			pick = pick[:d]
+		}
+		return false
+	}
+	if !rec(0) {
 		return nil
 	}
-	return rec(0)
+	witness := make([]int, k)
+	for j, i := range pick {
+		witness[j] = candidates[i]
+	}
+	return witness
 }
 
 // agreeOnWitness publishes the lowest-id node's witness (if any) so that

@@ -1,10 +1,12 @@
 package domset
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/clique"
 	"repro/internal/graph"
+	"repro/internal/partition"
 )
 
 func runFind(t *testing.T, g *graph.Graph, k int) (Result, *clique.Result) {
@@ -135,5 +137,61 @@ func TestRoundsGrowWithK(t *testing.T) {
 	if res3.Stats.Rounds <= res2.Stats.Rounds {
 		t.Errorf("k=3 rounds (%d) should exceed k=2 rounds (%d)",
 			res3.Stats.Rounds, res2.Stats.Rounds)
+	}
+}
+
+// scanDominating is the plain reference for searchDominating: every
+// k-subset of candidates in lexicographic order, each checked vertex
+// by vertex against a []bool closed-neighbourhood cover.
+func scanDominating(g *graph.Graph, candidates []int, k int) []int {
+	sel := make([]int, k)
+	var rec func(start, d int) bool
+	rec = func(start, d int) bool {
+		if d == k {
+			covered := make([]bool, g.N)
+			for _, u := range sel {
+				covered[u] = true
+				g.Neighbors(u, func(v int) { covered[v] = true })
+			}
+			return !slices.Contains(covered, false)
+		}
+		for i := start; i < len(candidates); i++ {
+			sel[d] = candidates[i]
+			if rec(i+1, d+1) {
+				return true
+			}
+		}
+		return false
+	}
+	if !rec(0, 0) {
+		return nil
+	}
+	return sel
+}
+
+// TestSearchDominatingMatchesScan pins the prefix-OR search to the
+// plain scan: the same lexicographically first witness (or none) for
+// every node's candidate union, across sizes straddling a word
+// boundary, planted and random instances, and k = 1..3.
+func TestSearchDominatingMatchesScan(t *testing.T) {
+	for _, n := range []int{9, 20, 63, 64, 65} {
+		for _, k := range []int{1, 2, 3} {
+			graphs := []*graph.Graph{graph.Gnp(n, 0.3, uint64(n+k)), graph.Gnp(n, 0.7, uint64(n*k))}
+			planted, _ := graph.PlantedDominatingSet(n, k, 0.05, uint64(n))
+			graphs = append(graphs, planted)
+			s := partition.New(n, k)
+			for gi, g := range graphs {
+				for v := 0; v < n; v++ {
+					if s.Label(v) == nil {
+						continue
+					}
+					cands := s.Union(v)
+					got, want := searchDominating(g, cands, k), scanDominating(g, cands, k)
+					if !slices.Equal(got, want) {
+						t.Fatalf("n=%d k=%d graph %d node %d: searchDominating = %v, scan = %v", n, k, gi, v, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -62,7 +62,10 @@ func runBatchSerial(be Backend, cfg Config, batch int, body func(run, id int, rt
 // canonical exchange speeds up 1.4x at n=8 with 8 runs per chunk,
 // decays through 1.1x at n=16, and inverts to 0.74x by n=64 with 16
 // runs resident. Capping chunks at ~64 slots (never fewer than 2 runs)
-// keeps every measured shape at or above serial speed.
+// keeps those exchange shapes from inverting. Where node-local compute
+// dominates a round there is nothing to amortise and a chunk at best
+// matches serial (BenchmarkRunBatchHeterogeneous), which it does only
+// because every worker shares in every run (see runBatchChunk).
 const batchChunkSlots = 64
 
 // batchChunkRuns is the native chunk width for an n-node shape: enough
@@ -148,35 +151,28 @@ func (b lockstepBackend) runBatchChunk(cfg Config, batch int, body func(run, id 
 		e.start(func(id int, rt NodeRuntime) { body(r, id, rt) })
 	}
 
-	// The worker pool shards the global (run, node) slot space
-	// contiguously, so a given node of a given run is always resumed by
-	// the same worker in the same within-shard order. All per-slot state
-	// (live, vio, mailbox rows) is owned by that slot's coroutine, and
-	// halted runs are skipped whole — determinism holds for any worker
-	// count, exactly as in the serial scheduler.
-	total := batch * n
+	// The worker pool shards every run the way the serial scheduler
+	// shards its one run: worker w owns nodes [w*n/W, (w+1)*n/W) of each
+	// live run, so a given node of a given run is always resumed by the
+	// same worker in the same within-shard order, and a run whose node
+	// programs are heavy spreads over every worker instead of pinning
+	// one. All per-slot state (live, vio, mailbox rows) is owned by that
+	// slot's coroutine, and halted runs are skipped whole — determinism
+	// holds for any worker count, exactly as in the serial scheduler.
 	workers := runtime.GOMAXPROCS(0)
-	if workers > total {
-		workers = total
+	if workers > n {
+		workers = n
 	}
 	halted := make([]bool, batch)
-	// sweep resumes the live nodes of the live runs in global slot range
-	// [lo, hi), run-major — the shard body shared by the single-worker
-	// inline path and the worker pool.
+	// sweep resumes the live nodes in [lo, hi) of every live run, run
+	// by run — the shard body shared by the single-worker inline path
+	// and the worker pool.
 	sweep := func(lo, hi int) {
-		for r := lo / n; r*n < hi; r++ {
+		for r, e := range engines {
 			if halted[r] {
 				continue
 			}
-			e := engines[r]
-			v0, v1 := 0, n
-			if s := lo - r*n; s > 0 {
-				v0 = s
-			}
-			if s := hi - r*n; s < n {
-				v1 = s
-			}
-			for v := v0; v < v1; v++ {
+			for v := lo; v < hi; v++ {
 				if !e.live[v] {
 					continue
 				}
@@ -192,7 +188,7 @@ func (b lockstepBackend) runBatchChunk(cfg Config, batch int, body func(run, id 
 		starts = make([]chan struct{}, workers)
 		for w := 0; w < workers; w++ {
 			starts[w] = make(chan struct{}, 1)
-			lo, hi := w*total/workers, (w+1)*total/workers
+			lo, hi := w*n/workers, (w+1)*n/workers
 			go func(start <-chan struct{}, lo, hi int) {
 				for range start {
 					sweep(lo, hi)
@@ -216,7 +212,7 @@ func (b lockstepBackend) runBatchChunk(cfg Config, batch int, body func(run, id 
 		// channel round-trip per round, the dominant fixed cost on small
 		// machines.
 		if workers == 1 {
-			sweep(0, total)
+			sweep(0, n)
 		} else {
 			wg.Add(workers)
 			for _, s := range starts {

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 )
@@ -311,5 +313,72 @@ func TestRunBatchFailViolation(t *testing.T) {
 	checkBatchEquivalence(t, native, serial, nativeErrs, serialErrs)
 	if !errors.Is(nativeErrs[2], errSentinel) {
 		t.Fatalf("run 2: got %v, want sentinel", nativeErrs[2])
+	}
+}
+
+// spin is deterministic local work standing in for a node's brute-force
+// subproblem: iters rounds of a splitmix-style mix.
+func spin(x uint64, iters int) uint64 {
+	for i := 0; i < iters; i++ {
+		x += 0x9e3779b97f4a7c15
+		x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+		x ^= x >> 31
+	}
+	return x
+}
+
+// heterogeneousBatch is a batch whose runs differ in everything the
+// scheduler shards over: run 0 is compute-heavy and long, run 1 is light
+// and ends after two rounds, and run 2 overflows its budget mid-run at
+// nodes 4 and 7 (the error must name node 4) after a round of compute.
+func heterogeneousBatch(run, id int, rt NodeRuntime) {
+	rounds, work := 6, 2000
+	switch run {
+	case 1:
+		rounds, work = 2, 0
+	case 2:
+		rounds, work = 4, 500
+	}
+	acc := uint64(run*100 + id)
+	for r := 0; r < rounds; r++ {
+		acc = spin(acc, work*(1+id%3))
+		words := []uint64{acc}
+		if run == 2 && r == 2 && (id == 4 || id == 7) {
+			words = append(words, acc)
+		}
+		rt.Broadcast(id, r, words)
+		rt.Barrier(id)
+		for p := 0; p < batchTestN; p++ {
+			if p != id {
+				for _, w := range rt.Recv(id, p) {
+					acc ^= w
+				}
+			}
+		}
+	}
+}
+
+// TestRunBatchHeterogeneousMatchesSerial pins batched ≡ serial for a
+// heterogeneous batch at one worker (the inline sweep), two, and three
+// workers; with three, the violators 4 and 7 sit in different shards.
+func TestRunBatchHeterogeneousMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			runtime.GOMAXPROCS(procs)
+			cfg := Config{N: batchTestN, WordsPerPair: 1, RecordTranscript: true}
+			native, serial, nativeErrs, serialErrs := runPair(t, cfg, 3, heterogeneousBatch)
+			checkBatchEquivalence(t, native, serial, nativeErrs, serialErrs)
+			if nativeErrs[0] != nil || nativeErrs[1] != nil {
+				t.Fatalf("runs 0 and 1 must succeed, got %v", nativeErrs)
+			}
+			want := "clique: node 4 round 2: bandwidth exceeded"
+			if nativeErrs[2] == nil || !strings.HasPrefix(nativeErrs[2].Error(), want) {
+				t.Fatalf("run 2: got %v, want prefix %q", nativeErrs[2], want)
+			}
+			if native[0].Stats.Rounds != 6 || native[1].Stats.Rounds != 2 {
+				t.Fatalf("rounds = %d, %d; want 6, 2", native[0].Stats.Rounds, native[1].Stats.Rounds)
+			}
+		})
 	}
 }

@@ -250,3 +250,63 @@ func BenchmarkRunBatch(b *testing.B) {
 		b.ReportMetric(float64(batch*roundsPerRun)*float64(b.N)/b.Elapsed().Seconds(), "rounds/sec")
 	})
 }
+
+// BenchmarkRunBatchHeterogeneous is the fig1 shape in miniature: a
+// batch of two runs at one (n, wpp) where one run's nodes do real local
+// work every round and the other's barely any, against a serial loop
+// over the same two programs. With per-run node sharding every worker
+// carries a share of the heavy run, so batched should track serial;
+// sharding the batch by whole runs would leave the heavy run on one
+// core and show up here as batched falling behind serial.
+func BenchmarkRunBatchHeterogeneous(b *testing.B) {
+	const (
+		n      = 32
+		rounds = 16
+		batch  = 2
+	)
+	body := func(run, id int, rt NodeRuntime) {
+		work := 16000
+		if run == 1 {
+			work = 10
+		}
+		acc := uint64(id)
+		for r := 0; r < rounds; r++ {
+			acc = spin(acc, work)
+			buf := rt.BroadcastBuf(id, r, 1)
+			buf[0] = acc
+			rt.Barrier(id)
+		}
+	}
+	cfg := Config{N: n, WordsPerPair: 1}
+	be, err := New("lockstep")
+	if err != nil {
+		b.Fatal(err)
+	}
+	check := func(b *testing.B, res *Result, err error) {
+		b.Helper()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Stats.Rounds != rounds {
+			b.Fatalf("rounds = %d", res.Stats.Rounds)
+		}
+	}
+	b.Run("batched", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			results, errs := RunBatch(be, cfg, batch, body)
+			for r := range results {
+				check(b, results[r], errs[r])
+			}
+		}
+	})
+	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for r := 0; r < batch; r++ {
+				res, err := be.Run(cfg, func(id int, rt NodeRuntime) { body(r, id, rt) })
+				check(b, res, err)
+			}
+		}
+	})
+}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/bits"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -421,5 +422,150 @@ func TestHamiltonianPathMatchesBacktracking(t *testing.T) {
 	g.AddEdge(2, 3)
 	if HasHamiltonianPath(g) {
 		t.Error("disconnected graph reported Hamiltonian")
+	}
+}
+
+// refMaxIndependentSetSize is the closure-based branch and bound that
+// MaxIndependentSetSize replaced, kept as the differential reference:
+// same branch vertex (first maximum degree within the candidates), same
+// include-then-exclude order, same pruning, one Clone per branch.
+func refMaxIndependentSetSize(g *Graph) int {
+	cand := NewBitset(g.N)
+	for v := 0; v < g.N; v++ {
+		cand.Set(v)
+	}
+	best := 0
+	var rec func(cand Bitset, size int)
+	rec = func(cand Bitset, size int) {
+		cnt := cand.Count()
+		if size+cnt <= best {
+			return
+		}
+		if cnt == 0 {
+			if size > best {
+				best = size
+			}
+			return
+		}
+		pick, pickDeg := -1, -1
+		cand.Each(func(v int) {
+			d := 0
+			g.Neighbors(v, func(u int) {
+				if cand.Has(u) {
+					d++
+				}
+			})
+			if d > pickDeg {
+				pick, pickDeg = v, d
+			}
+		})
+		if pickDeg == 0 {
+			if size+cnt > best {
+				best = size + cnt
+			}
+			return
+		}
+		with := cand.Clone()
+		with.Clear(pick)
+		g.Neighbors(pick, func(u int) {
+			if with.Has(u) {
+				with.Clear(u)
+			}
+		})
+		rec(with, size+1)
+		without := cand.Clone()
+		without.Clear(pick)
+		rec(without, size)
+	}
+	rec(cand, 0)
+	return best
+}
+
+// refIsDominatingSet is the per-vertex []bool domination check that
+// IsDominatingSet replaced, kept as the differential reference.
+func refIsDominatingSet(g *Graph, set []int) bool {
+	dominated := make([]bool, g.N)
+	for _, u := range set {
+		dominated[u] = true
+		g.Neighbors(u, func(v int) { dominated[v] = true })
+	}
+	for _, d := range dominated {
+		if !d {
+			return false
+		}
+	}
+	return true
+}
+
+// differentialSizes straddle the word boundaries of the packed rows:
+// n % 64 == 0, one bit past it, and a last word holding two bits.
+var (
+	differentialSizes     = []int{1, 2, 63, 64, 65, 127, 128, 130}
+	differentialDensities = []float64{0.1, 0.5, 0.92}
+)
+
+// TestMaxIndependentSetMatchesReference pins the word-parallel branch
+// and bound to the closure-based reference on seeded G(n, p) graphs.
+// At p=0.1 and n >= 127 the independence number is in the thirties and
+// either branch and bound runs for over a minute, so those cells are
+// left out.
+func TestMaxIndependentSetMatchesReference(t *testing.T) {
+	for _, n := range differentialSizes {
+		for _, p := range differentialDensities {
+			if n > 65 && p < 0.5 {
+				continue
+			}
+			g := Gnp(n, p, uint64(n)*7+uint64(p*100))
+			if got, want := MaxIndependentSetSize(g), refMaxIndependentSetSize(g); got != want {
+				t.Errorf("n=%d p=%.2f: MaxIndependentSetSize = %d, reference = %d", n, p, got, want)
+			}
+		}
+	}
+}
+
+// TestIsDominatingSetMatchesReference checks the word-parallel
+// domination test against the []bool reference on random subsets of
+// every size class, including the sets that miss exactly one vertex of
+// the tail word — the case a wrong last-word mask gets wrong.
+func TestIsDominatingSetMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 9))
+	for _, n := range differentialSizes {
+		for _, p := range differentialDensities {
+			g := Gnp(n, p, uint64(n)*13+uint64(p*100))
+			check := func(set []int) {
+				t.Helper()
+				if got, want := IsDominatingSet(g, set), refIsDominatingSet(g, set); got != want {
+					t.Fatalf("n=%d p=%.2f set=%v: IsDominatingSet = %v, reference = %v", n, p, set, got, want)
+				}
+			}
+			all := make([]int, n)
+			for v := range all {
+				all[v] = v
+			}
+			check(nil)
+			check(all)
+			for skip := range all {
+				// Every vertex but skip (dominating unless skip is
+				// isolated), and every vertex outside skip's closed
+				// neighbourhood (never dominating).
+				rest := append(append([]int(nil), all[:skip]...), all[skip+1:]...)
+				check(rest)
+				var far []int
+				for _, v := range all {
+					if v != skip && !g.HasEdge(v, skip) {
+						far = append(far, v)
+					}
+				}
+				check(far)
+			}
+			for trial := 0; trial < 200; trial++ {
+				k := 1 + rng.IntN(min(n, 8))
+				set := make([]int, k)
+				for i := range set {
+					set[i] = rng.IntN(n)
+				}
+				check(set)
+			}
+		}
 	}
 }

@@ -1,5 +1,11 @@
 package graph
 
+import (
+	"math/bits"
+
+	"repro/internal/bitvec"
+)
+
 // This file holds exponential-time centralized oracles. They are the
 // ground truth in tests and experiments: the congested clique model
 // allows unbounded local computation, and the paper repeatedly relies on
@@ -61,19 +67,33 @@ func IsClique(g *Graph, set []int) bool {
 }
 
 // IsDominatingSet reports whether every vertex of g is in set or adjacent
-// to a member of set.
+// to a member of set. It works a word at a time: word i of the closed
+// neighbourhood union is the OR of the members' adjacency words plus
+// their own bits, and the check stops at the first word with a
+// vertex left undominated. It allocates nothing.
 func IsDominatingSet(g *Graph, set []int) bool {
-	dominated := make([]bool, g.N)
-	for _, u := range set {
-		dominated[u] = true
-		g.Neighbors(u, func(v int) { dominated[v] = true })
-	}
-	for _, d := range dominated {
-		if !d {
+	for i := 0; i < bitvec.Words(g.N); i++ {
+		var acc uint64
+		for _, u := range set {
+			acc |= g.adj[u][i]
+			if u/64 == i {
+				acc |= 1 << (u % 64)
+			}
+		}
+		if acc != wordMask(g.N, i) {
 			return false
 		}
 	}
 	return true
+}
+
+// wordMask is the set of valid vertex bits in word i of an n-vertex
+// row: all ones except in a partial last word.
+func wordMask(n, i int) uint64 {
+	if rem := n - 64*i; rem < 64 {
+		return 1<<rem - 1
+	}
+	return ^uint64(0)
 }
 
 // IsVertexCover reports whether every edge of g has an endpoint in set.
@@ -129,18 +149,28 @@ func HasIndependentSetOfSize(g *Graph, k int) bool {
 
 // MaxIndependentSetSize returns the independence number of g, via
 // branch and bound: pick a vertex of maximum degree in the remaining
-// candidate set and branch on excluding or including it, pruning when
-// the candidate count cannot beat the incumbent. Practical far beyond
-// the plain subset enumeration of FindIndependentSet.
+// candidate set (the first such vertex) and branch on including, then
+// excluding it, pruning when the candidate count cannot beat the
+// incumbent. Practical far beyond the plain subset enumeration of
+// FindIndependentSet.
+//
+// The candidate set at recursion depth d lives in row d of one
+// preallocated (n+1)-row table — every branch drops at least one
+// vertex, so depth never exceeds n — and degrees within it are
+// AndOnesCount word kernels over the adjacency rows.
 func MaxIndependentSetSize(g *Graph) int {
-	cand := NewBitset(g.N)
-	for v := 0; v < g.N; v++ {
-		cand.Set(v)
+	n := g.N
+	w := bitvec.Words(n)
+	table := make([]uint64, (n+1)*w)
+	row := func(d int) bitvec.Row { return bitvec.Row(table[d*w : (d+1)*w : (d+1)*w]) }
+	for v := 0; v < n; v++ {
+		row(0).Set(v)
 	}
 	best := 0
-	var rec func(cand Bitset, size int)
-	rec = func(cand Bitset, size int) {
-		cnt := cand.Count()
+	var rec func(d, size int)
+	rec = func(d, size int) {
+		cand := row(d)
+		cnt := cand.OnesCount()
 		if size+cnt <= best {
 			return // cannot improve
 		}
@@ -152,17 +182,15 @@ func MaxIndependentSetSize(g *Graph) int {
 		}
 		// Branch vertex: maximum degree within the candidate set.
 		pick, pickDeg := -1, -1
-		cand.Each(func(v int) {
-			d := 0
-			g.Neighbors(v, func(u int) {
-				if cand.Has(u) {
-					d++
+		for i, word := range cand {
+			for word != 0 {
+				v := i*64 + bits.TrailingZeros64(word)
+				word &= word - 1
+				if deg := bitvec.AndOnesCount(bitvec.Row(g.adj[v]), cand); deg > pickDeg {
+					pick, pickDeg = v, deg
 				}
-			})
-			if d > pickDeg {
-				pick, pickDeg = v, d
 			}
-		})
+		}
 		if pickDeg == 0 {
 			// Remaining candidates are pairwise non-adjacent.
 			if size+cnt > best {
@@ -170,21 +198,19 @@ func MaxIndependentSetSize(g *Graph) int {
 			}
 			return
 		}
+		next := row(d + 1)
 		// Include pick: drop pick and its neighbours.
-		with := cand.Clone()
-		with.Clear(pick)
-		g.Neighbors(pick, func(u int) {
-			if with.Has(u) {
-				with.Clear(u)
-			}
-		})
-		rec(with, size+1)
-		// Exclude pick.
-		without := cand.Clone()
-		without.Clear(pick)
-		rec(without, size)
+		next.CopyFrom(cand)
+		next.AndNot(bitvec.Row(g.adj[pick]))
+		next.Clear(pick)
+		rec(d+1, size+1)
+		// Exclude pick. The include branch wrote only rows deeper than
+		// d, so cand is intact.
+		next.CopyFrom(cand)
+		next.Clear(pick)
+		rec(d+1, size)
 	}
-	rec(cand, 0)
+	rec(0, 0)
 	return best
 }
 

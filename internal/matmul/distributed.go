@@ -121,29 +121,24 @@ func Mul3D(nd clique.Endpoint, s Semiring, aRow, bRow []int64) []int64 {
 	// (part(r), x, part(c)) for all x; entry B[r][c] goes to
 	// (x, part(c), part(r)) for all x. Payload: [tag*n^2 + r*n + c,
 	// value] where tag 0 marks A, 1 marks B.
-	var packets []comm.Packet
 	myPart := p.of(me)
-	for c := 0; c < n; c++ {
-		cp := p.of(c)
-		if aRow[c] != zero {
-			key := uint64(me)*un + uint64(c)
-			for x := 0; x < q; x++ {
-				packets = append(packets, comm.Packet{
-					Dst:     idOf(myPart, x, cp, q),
-					Payload: []uint64{key, uint64(aRow[c])},
-				})
+	packets := pairPackets(func(emit func(dst int, key, val uint64)) {
+		for c := 0; c < n; c++ {
+			cp := p.of(c)
+			if aRow[c] != zero {
+				key := uint64(me)*un + uint64(c)
+				for x := 0; x < q; x++ {
+					emit(idOf(myPart, x, cp, q), key, uint64(aRow[c]))
+				}
+			}
+			if bRow[c] != zero {
+				key := un*un + uint64(me)*un + uint64(c)
+				for x := 0; x < q; x++ {
+					emit(idOf(x, cp, myPart, q), key, uint64(bRow[c]))
+				}
 			}
 		}
-		if bRow[c] != zero {
-			key := un*un + uint64(me)*un + uint64(c)
-			for x := 0; x < q; x++ {
-				packets = append(packets, comm.Packet{
-					Dst:     idOf(x, cp, myPart, q),
-					Payload: []uint64{key, uint64(bRow[c])},
-				})
-			}
-		}
-	}
+	})
 	in := comm.Route(nd, packets, 2, seedBase)
 
 	// Step 2: assemble local blocks and multiply. Node (i, j, k) holds
@@ -180,23 +175,21 @@ func Mul3D(nd clique.Endpoint, s Semiring, aRow, bRow []int64) []int64 {
 	chunk := (seg + q - 1) / q
 	var redPkts []comm.Packet
 	if isWorker {
-		for c := 0; c < q; c++ {
-			dst := idOf(ti, tj, c, q)
-			if dst == me {
-				continue // my own chunk is summed locally below
-			}
-			for lr := c * chunk; lr < (c+1)*chunk && lr < seg; lr++ {
-				for col := 0; col < seg; col++ {
-					if partial[lr][col] == zero {
-						continue
+		redPkts = pairPackets(func(emit func(dst int, key, val uint64)) {
+			for c := 0; c < q; c++ {
+				dst := idOf(ti, tj, c, q)
+				if dst == me {
+					continue // my own chunk is summed locally below
+				}
+				for lr := c * chunk; lr < (c+1)*chunk && lr < seg; lr++ {
+					for col := 0; col < seg; col++ {
+						if partial[lr][col] != zero {
+							emit(dst, uint64(lr*seg+col), uint64(partial[lr][col]))
+						}
 					}
-					redPkts = append(redPkts, comm.Packet{
-						Dst:     dst,
-						Payload: []uint64{uint64(lr*seg + col), uint64(partial[lr][col])},
-					})
 				}
 			}
-		}
+		})
 	}
 	redIn := comm.Route(nd, redPkts, 2, seedBase+1)
 
@@ -225,21 +218,19 @@ func Mul3D(nd clique.Endpoint, s Semiring, aRow, bRow []int64) []int64 {
 	if isWorker {
 		iLo, _ := p.bounds(ti)
 		jLo, jHi := p.bounds(tj)
-		for r := 0; r < chunk; r++ {
-			global := iLo + tk*chunk + r
-			if global >= n || tk*chunk+r >= seg {
-				continue
-			}
-			for col := jLo; col < jHi; col++ {
-				if sum[r][col-jLo] == zero {
+		outPkts = pairPackets(func(emit func(dst int, key, val uint64)) {
+			for r := 0; r < chunk; r++ {
+				global := iLo + tk*chunk + r
+				if global >= n || tk*chunk+r >= seg {
 					continue
 				}
-				outPkts = append(outPkts, comm.Packet{
-					Dst:     global,
-					Payload: []uint64{uint64(col), uint64(sum[r][col-jLo])},
-				})
+				for col := jLo; col < jHi; col++ {
+					if sum[r][col-jLo] != zero {
+						emit(global, uint64(col), uint64(sum[r][col-jLo]))
+					}
+				}
 			}
-		}
+		})
 	}
 	outIn := comm.Route(nd, outPkts, 2, seedBase+2)
 
@@ -251,6 +242,24 @@ func Mul3D(nd clique.Endpoint, s Semiring, aRow, bRow []int64) []int64 {
 		out[pkt.Payload[0]] = int64(pkt.Payload[1])
 	}
 	return out
+}
+
+// pairPackets materialises the [key, value] packets gen emits, in
+// emission order. gen runs twice — once to count, once to fill — so the
+// packet slice is allocated once and every payload is carved from one
+// backing slice instead of allocated per packet.
+func pairPackets(gen func(emit func(dst int, key, val uint64))) []comm.Packet {
+	count := 0
+	gen(func(int, uint64, uint64) { count++ })
+	packets := make([]comm.Packet, 0, count)
+	words := make([]uint64, 2*count)
+	gen(func(dst int, key, val uint64) {
+		pl := words[:2:2]
+		words = words[2:]
+		pl[0], pl[1] = key, val
+		packets = append(packets, comm.Packet{Dst: dst, Payload: pl})
+	})
+	return packets
 }
 
 func zeroBlock(s Semiring, rows, cols int) [][]int64 {

@@ -306,15 +306,19 @@ func TestFindCliqueWitness(t *testing.T) {
 	g.AddEdge(2, 5)
 	g.AddEdge(5, 8)
 	g.AddEdge(2, 8)
-	found := false
-	var wit []int
+	// One result slot per node: the nodes run concurrently, and every
+	// node must return the agreed witness.
+	found := make([]bool, g.N)
+	wit := make([][]int, g.N)
 	_, err := clique.Run(clique.Config{N: g.N, WordsPerPair: 4}, func(nd *clique.Node) {
-		found, wit = FindClique(nd, g.Row(nd.ID()), 3)
+		found[nd.ID()], wit[nd.ID()] = FindClique(nd, g.Row(nd.ID()), 3)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !found || !graph.IsClique(g, wit) {
-		t.Fatalf("planted triangle not found: %v %v", found, wit)
+	for v := range found {
+		if !found[v] || !graph.IsClique(g, wit[v]) {
+			t.Fatalf("node %d: planted triangle not found: %v %v", v, found[v], wit[v])
+		}
 	}
 }
